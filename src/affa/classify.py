@@ -13,23 +13,20 @@ than read off the declaration.
 
 from __future__ import annotations
 
-from math import gcd
-
 from affa.cyclotomic import Cyclo
 from affa.diagram import Morphism
-from affa.theory import BoxKind, Family, Theory, box_kinds, click_rewrite
+from affa.theory import (SPECS, BoxKind, Family, Theory, box_kinds,
+                         click_rewrite)
 
-FAMILY_KEYS = ("shaded-a-odd", "unshaded-a-odd", "a-even",
-               "shaded-a-inf", "unshaded-a-inf")
-
-
-def _roots(order: int) -> list[tuple[int, int]]:
-    """All order-th roots of unity as reduced (order, exponent) pairs."""
-    out = []
-    for k in range(order):
-        g = gcd(k, order) if k else order
-        out.append((order // g, k // g))
-    return out
+# The families of each classification key, in enumeration order.
+_KEY_FAMILIES = {
+    "shaded-a-odd": (Family.SHADED_AODD,),
+    "unshaded-a-odd": (Family.ARROW_AODD, Family.COLOR_AODD),
+    "a-even": (Family.ARROW_AEVEN,),
+    "shaded-a-inf": (Family.SHADED_AINF,),
+    "unshaded-a-inf": (Family.ARROW_AINF, Family.COLOR_AINF),
+}
+FAMILY_KEYS = tuple(_KEY_FAMILIES)
 
 
 def enumerate_presentations(family: str, n: int | None = None) -> list[Theory]:
@@ -40,22 +37,15 @@ def enumerate_presentations(family: str, n: int | None = None) -> list[Theory]:
     (2n+1 choices of omega), and the box-free 'shaded-a-inf' (one) and
     'unshaded-a-inf' (arrow and color).
     """
-    if family in ("shaded-a-inf", "unshaded-a-inf"):
-        if family == "shaded-a-inf":
-            return [Theory(Family.SHADED_AINF)]
-        return [Theory(Family.ARROW_AINF), Theory(Family.COLOR_AINF)]
-    if family not in FAMILY_KEYS:
+    fams = _KEY_FAMILIES.get(family)
+    if fams is None:
         raise ValueError(f"unknown family {family!r}")
+    if SPECS[fams[0]].category == "infinite":
+        return [Theory(fam) for fam in fams]
     if n is None or n < 1:
         raise ValueError("finite families need a positive size parameter")
-    if family == "shaded-a-odd":
-        return [Theory(Family.SHADED_AODD, n, o, e) for o, e in _roots(n)]
-    if family == "unshaded-a-odd":
-        return ([Theory(Family.ARROW_AODD, n, o, e)
-                 for o, e in _roots(2 * n)]
-                + [Theory(Family.COLOR_AODD, n, o, e)
-                   for o, e in _roots(n)])
-    return [Theory(Family.ARROW_AEVEN, n, o, e) for o, e in _roots(2 * n + 1)]
+    return [Theory.with_root(fam, n, k) for fam in fams
+            for k in range(Theory(fam, n).root_bound())]
 
 
 def _duality_case(th: Theory) -> str:

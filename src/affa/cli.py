@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from math import gcd
 
 from affa.diagram import Morphism
-from affa.theory import Family, Label, Theory
+from affa.theory import SPECS, Family, Label, Theory, rooted_theories
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,14 +43,11 @@ def _theory_from_args(args) -> Theory:
     if not args.family:
         raise ValueError("give --theory FILE or --family (with --n)")
     fam = Family(args.family)
-    if fam in (Family.SHADED_AINF, Family.ARROW_AINF, Family.COLOR_AINF):
+    if SPECS[fam].category == "infinite":
         return Theory(fam)
     if args.n is None:
         raise ValueError(f"{fam.value} needs --n")
-    cap = Theory(fam, args.n).root_bound()
-    k = args.root_exp % cap
-    g = gcd(k, cap) if k else cap
-    return Theory(fam, args.n, cap // g, k // g)
+    return Theory.with_root(fam, args.n, args.root_exp)
 
 
 def _read_morphism(path: str) -> Morphism:
@@ -65,11 +59,6 @@ def _word_from_arg(text: str) -> list[Label]:
     if not text:
         return []
     return [Label(part.strip()) for part in text.split(",")]
-
-
-def _pool_size() -> int:
-    cap = os.environ.get("AFFA_THREADS")
-    return max(1, int(cap)) if cap else (os.cpu_count() or 1)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -96,24 +85,17 @@ def _eval_batch(args) -> int:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     failed = False
     rows = []
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        for i, fut in enumerate(pool.map(_guarded(_eval_one), lines)):
-            row = {"index": i}
-            row.update(fut)
-            failed = failed or "error" in fut
-            rows.append(row)
+    for i, line in enumerate(lines):
+        row = {"index": i}
+        try:
+            row.update(_eval_one(line))
+        except (ValueError, KeyError) as exc:
+            row["error"] = str(exc)
+            failed = True
+        rows.append(row)
     out = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
     _emit(args, out)
     return 1 if failed else 0
-
-
-def _guarded(fn):
-    def wrapped(line):
-        try:
-            return fn(line)
-        except (ValueError, KeyError) as exc:
-            return {"error": str(exc)}
-    return wrapped
 
 
 def _cmd_label(args) -> int:
@@ -256,16 +238,10 @@ def _cmd_classify(args) -> int:
 
 
 def _selftest_theories():
-    for n in range(1, 4):
-        for fam in (Family.SHADED_AODD, Family.COLOR_AODD,
-                    Family.ARROW_AODD, Family.ARROW_AEVEN):
-            cap = Theory(fam, n).root_bound()
-            for k in range(cap):
-                g = gcd(k, cap) if k else cap
-                yield Theory(fam, n, cap // g, k // g)
-    yield Theory(Family.SHADED_AINF)
-    yield Theory(Family.ARROW_AINF)
-    yield Theory(Family.COLOR_AINF)
+    yield from rooted_theories(3)
+    for fam, spec in SPECS.items():
+        if spec.category == "infinite":
+            yield Theory(fam)
 
 
 def _cmd_selftest(args) -> int:

@@ -233,7 +233,14 @@ class Cyclo:
     def from_json(obj: dict) -> "Cyclo":
         if not isinstance(obj, dict) or "order" not in obj or "coeffs" not in obj:
             raise ValueError("malformed scalar: expected {order, coeffs}")
-        return Cyclo([Fraction(c) for c in obj["coeffs"]], int(obj["order"]))
+        try:
+            order = int(obj["order"])
+            coeffs = [Fraction(c) for c in obj["coeffs"]]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed scalar: {exc}") from None
+        if order < 1:
+            raise ValueError(f"scalar order must be positive, got {order}")
+        return Cyclo(coeffs, order)
 
 
 def _as_cyclo(x) -> Cyclo:
@@ -256,26 +263,6 @@ def _solve_linear(aug: list[list[Fraction]], n: int) -> list[Fraction]:
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
     return [aug[r][n] for r in range(n)]
-
-
-def canonicalize(coeffs: Iterable[Fraction | int], order: int) -> Cyclo:
-    """The unique reduced representative of the given polynomial mod Phi_d."""
-    return Cyclo(coeffs, order)
-
-
-def arith(op: str, a: Cyclo, b: Cyclo | None = None) -> Cyclo:
-    """Strict-order field arithmetic; operands must share the RootSpec."""
-    if b is not None and a.order != b.order:
-        raise ValueError(f"RootSpec mismatch: {a.order} != {b.order}")
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "conj":
-        return a.conj()
-    raise ValueError(f"unknown op {op!r}")
 
 
 def root_power(order: int, k: int) -> Cyclo:

@@ -98,40 +98,22 @@ class Strand:
         return SNK if self.dir == +1 else SRC
 
 
-def make_strand(a: Endpoint, b: Endpoint, label: Label, dir: int = 0) -> Strand:
-    return Strand(a, b, label, dir)
-
-
-def _canonical_box_order(theory: Theory,
-                         bottom: tuple[Label, ...],
-                         top: tuple[Label, ...],
-                         boxes: tuple[tuple[BoxKind, int], ...],
-                         strands: Sequence[Strand]) -> list[int] | None:
+def _canonical_box_order(d: "Diagram") -> list[int] | None:
     """Box numbering by a canonical traversal of the rotation system, so
     structurally equal diagrams agree regardless of input box order.
     Returns the old indices in their new order, or None when the structure
     is not traversable (left for validate to reject)."""
+    boxes, theory = d.boxes, d.theory
     nb = len(boxes)
     if nb <= 1:
         return list(range(nb))
     emap: dict[Endpoint, Strand] = {}
-    for s in strands:
+    for s in d.strands:
         if s.a in emap or s.b in emap:
             return None
         emap[s.a] = s
         emap[s.b] = s
-
-    def rotation(v):
-        if v[0] == "bnd":
-            return ([bnd("top", j) for j in range(len(top))]
-                    + [bnd("bottom", i) for i in reversed(range(len(bottom)))])
-        if v[0] == "anchor":
-            return [anchor(v[1], 0), anchor(v[1], 1)]
-        kind, _ = boxes[v[1]]
-        return [boxleg(v[1], c) for c in range(leg_count(theory, kind))]
-
-    def vertex_of(e):
-        return ("bnd",) if e[0] == "bnd" else (e[0], e[1])
+    rotation, vertex_of = d.rotation, d.vertex_of
 
     def traverse(root, entry):
         """Breadth-first over vertices, scanning each rotation from the
@@ -168,7 +150,7 @@ def _canonical_box_order(theory: Theory,
         return tuple(enc), order
 
     placed: list[int] = []
-    if bottom or top:
+    if d.bottom or d.top:
         got = traverse(("bnd",), None)
         if got is None:
             return None
@@ -256,8 +238,8 @@ class Diagram:
             eb = anchor(remap[s.b[1]], s.b[2]) if s.b[0] == "anchor" else s.b
             out.append(Strand(ea, eb, s.label, s.dir)
                        if (ea, eb) != (s.a, s.b) else s)
-        order = _canonical_box_order(theory, tuple(bottom), tuple(top),
-                                     boxes, out)
+        order = _canonical_box_order(
+            Diagram(theory, tuple(bottom), tuple(top), boxes, 0, tuple(out)))
         if order is not None and order != list(range(len(boxes))):
             old_to_new = {old: new for new, old in enumerate(order)}
             boxes = tuple(boxes[old] for old in order)
@@ -595,8 +577,8 @@ class Diagram:
             top = [Label(x) for x in obj.get("top", [])]
             boxes = [(BoxKind(b["kind"]), int(b.get("rot", 0)))
                      for b in obj.get("boxes", [])]
-            strands = [make_strand(ep(s["a"]), ep(s["b"]), Label(s["label"]),
-                                   int(s.get("dir", 0)))
+            strands = [Strand(ep(s["a"]), ep(s["b"]), Label(s["label"]),
+                              int(s.get("dir", 0)))
                        for s in obj.get("strands", [])]
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"malformed diagram: {exc}") from None
@@ -644,8 +626,7 @@ class Morphism:
         for i, lab in enumerate(word):
             sign = ORIENTED_LABELS.get(lab)
             dir = 0 if sign is None else (+1 if sign > 0 else -1)
-            strands.append(make_strand(bnd("bottom", i), bnd("top", i),
-                                       lab, dir))
+            strands.append(Strand(bnd("bottom", i), bnd("top", i), lab, dir))
         return Morphism.from_diagram(Diagram.make(theory, word, word, [],
                                                   strands))
 
@@ -708,7 +689,7 @@ class Morphism:
         labels both new points carry `label`."""
         sign = ORIENTED_LABELS.get(label)
         if sign is None:
-            s = make_strand(bnd("top", 0), bnd("top", 1), label, 0)
+            s = Strand(bnd("top", 0), bnd("top", 1), label, 0)
             word = [label, label]
         elif sign > 0:
             # flow enters at the right (downward) end and exits at the left
@@ -724,7 +705,7 @@ class Morphism:
         """The arc from [label, dual(label)] to nothing."""
         sign = ORIENTED_LABELS.get(label)
         if sign is None:
-            s = make_strand(bnd("bottom", 0), bnd("bottom", 1), label, 0)
+            s = Strand(bnd("bottom", 0), bnd("bottom", 1), label, 0)
             word = [label, label]
         elif sign > 0:
             s = Strand(bnd("bottom", 0), bnd("bottom", 1), label, +1)
@@ -739,7 +720,7 @@ class Morphism:
     def loop(theory: Theory, label: Label) -> "Morphism":
         """A single free loop on a fresh anchor."""
         dir = +1 if label in ORIENTED_LABELS else 0
-        s = make_strand(anchor(0, 0), anchor(0, 1), label, dir)
+        s = Strand(anchor(0, 0), anchor(0, 1), label, dir)
         d = Diagram.make(theory, [], [], [], [s], n_anchors=1)
         return Morphism.from_diagram(d)
 
@@ -886,6 +867,8 @@ class Morphism:
         except ValueError as exc:
             raise ValueError(f"bad boundary label: {exc}") from None
         terms: dict[Diagram, Cyclo] = {}
+        if not isinstance(doc.get("terms", []), list):
+            raise ValueError("terms must be a list")
         for t in doc.get("terms", []):
             d = Diagram.from_json(t)
             c = Cyclo.from_json(t.get("coeff", {"order": 1, "coeffs": ["1"]}))
@@ -1017,8 +1000,8 @@ class _Chains:
             obj = self.obj_at(src, SRC)
             return Strand(a, b, obj, flow)
         if label is None:
-            return make_strand(a, b, Label.PLAIN, 0)
-        return make_strand(a, b, label, 0)
+            return Strand(a, b, Label.PLAIN, 0)
+        return Strand(a, b, label, 0)
 
     def _merge_loop(self, chain):
         got = self._chain_flow_label(chain)
@@ -1135,7 +1118,7 @@ def _adjoint_diagram(d: Diagram) -> Diagram:
     for s in d.strands:
         na, nb = remap(s.a), remap(s.b)
         if s.dir == 0 or s.a[0] == "anchor":
-            out.append(make_strand(na, nb, s.label, s.dir))
+            out.append(Strand(na, nb, s.label, s.dir))
             continue
         # Flipping vertically and reversing arrows makes each endpoint swap
         # its flow role: the new source is the image of the old sink.

@@ -80,13 +80,13 @@ def check_cocycle(spec: CocycleSpec) -> bool:
 
 def image_theory(th: Theory) -> Theory:
     """The oriented-strand theory a source category lands in."""
-    if th.family not in (Family.VEC_CYCLIC, Family.SU2_REP):
+    if th.is_planar_algebra():
         raise ValueError("image_theory expects a source-category theory")
     m = th.m
     if m < 2:
         raise ValueError("the size-one source categories have no "
                          "strand image")
-    if th.family is Family.VEC_CYCLIC:
+    if th.spec.conjugate_image:
         # the cyclic source with root zeta pairs with the conjugate root
         order, exp = th.root_order, (-th.root_exp) % th.root_order
     else:
@@ -162,19 +162,6 @@ def to_image(m: Morphism) -> Morphism:
     return out
 
 
-def functor_vec_image(src: Morphism) -> Morphism:
-    if src.theory.family is not Family.VEC_CYCLIC:
-        raise ValueError("expected a morphism of the cyclic source category")
-    return to_image(src)
-
-
-def functor_rep_image(src: Morphism) -> Morphism:
-    if src.theory.family is not Family.SU2_REP:
-        raise ValueError("expected a morphism of the signed-strand "
-                         "source category")
-    return to_image(src)
-
-
 # -- desk-scale verification -----------------------------------------------
 
 def source_theory(which: str, m: int, zeta_exp: int = 0) -> Theory:
@@ -183,21 +170,15 @@ def source_theory(which: str, m: int, zeta_exp: int = 0) -> Theory:
     fam = {"vec": Family.VEC_CYCLIC, "rep": Family.SU2_REP}.get(which)
     if fam is None:
         raise ValueError("which must be 'vec' or 'rep'")
-    from math import gcd
-    g = gcd(zeta_exp % m, m) if zeta_exp % m else m
-    return Theory(fam, m, m // g, (zeta_exp % m) // g)
+    return Theory.with_root(fam, m, zeta_exp)
 
 
 def _source_words(th: Theory, max_len: int):
-    if th.family is Family.VEC_CYCLIC:
-        for k in range(max_len + 1):
-            yield (Label.DOT,) * k
-        return
+    letters = [l for l in th.spec.alphabet if l is not Label.PLAIN]
     yield ()
     words = [()]
     for _ in range(max_len):
-        words = [w + (l,) for w in words
-                 for l in (Label.PLUS, Label.MINUS)]
+        words = [w + (l,) for w in words for l in letters]
         yield from words
 
 

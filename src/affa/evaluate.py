@@ -18,7 +18,7 @@ in the oriented-strand theory; see `affa.equiv`.
 from __future__ import annotations
 
 from affa.cyclotomic import Cyclo
-from affa.diagram import Diagram, Morphism, Strand, bnd, make_strand
+from affa.diagram import Diagram, Morphism, Strand, bnd
 from affa.theory import (
     BoxKind,
     Family,
@@ -31,6 +31,7 @@ from affa.theory import (
     dual_label,
     kind_adjoint,
     leg_count,
+    plain_expansion,
 )
 
 # Increasing a box's rotation offset by one notch applies the Fourier
@@ -39,14 +40,12 @@ from affa.theory import (
 # suite and by agreement with the region-labeling invariant.
 CLICK_DIR = +1
 
-_SOURCE = (Family.VEC_CYCLIC, Family.SU2_REP)
-
 
 def eval_with_steps(m: Morphism) -> tuple[Cyclo, int]:
     """Value of a closed morphism and the number of rewrite steps used."""
     if m.bottom or m.top:
         raise ValueError("evaluation requires a closed morphism")
-    if m.theory.family in _SOURCE:
+    if not m.theory.is_planar_algebra():
         if m.theory.m == 1:
             # the size-one source categories are trivial: every valid
             # closed diagram equals the empty one
@@ -198,7 +197,7 @@ def strand_projection(theory: Theory, label: Label) -> Morphism:
     minimal projection cutting the plain strand to one color/orientation."""
     sign = ORIENTED_LABELS.get(label)
     if sign is None:
-        s = make_strand(bnd("bottom", 0), bnd("top", 0), label, 0)
+        s = Strand(bnd("bottom", 0), bnd("top", 0), label, 0)
     else:
         s = Strand(bnd("bottom", 0), bnd("top", 0), label,
                    +1 if sign > 0 else -1)
@@ -209,10 +208,7 @@ def strand_projection(theory: Theory, label: Label) -> Morphism:
 def _planar_relations(th: Theory) -> list[tuple[str, Morphism, Morphism]]:
     one0 = unit_empty(th)
     zero0 = Morphism.zero(th, [], [])
-    if th.is_oriented():
-        c1, c2 = Label.UP, Label.DOWN
-    else:
-        c1, c2 = Label.RED, Label.BLUE
+    c1, c2 = plain_expansion(th)
     rels = [
         (f"bubble-{c1.value}", Morphism.loop(th, c1), one0),
         (f"bubble-{c2.value}", Morphism.loop(th, c2), one0),
@@ -239,7 +235,7 @@ def _planar_relations(th: Theory) -> list[tuple[str, Morphism, Morphism]]:
         rels.append((f"click-{kind.value}",
                      g.click(1),
                      Morphism.generator(th, new_kind).scale(cost)))
-        if th.family in (Family.SHADED_AODD, Family.COLOR_AODD):
+        if new_kind is not kind:
             kind2, cost2 = click_rewrite(th, new_kind, +1)
             assert kind2 is kind
             rels.append((f"click-twice-{kind.value}",

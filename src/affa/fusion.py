@@ -20,41 +20,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from affa.cyclotomic import Cyclo
-from affa.diagram import Diagram, Morphism, SNK, SRC, Strand, bnd, boxleg, \
-    make_strand
+from affa.diagram import Diagram, Morphism, SNK, SRC, Strand, bnd, boxleg
 from affa.labeling import GroupElement
 from affa.theory import (
-    Family,
     Label,
     ORIENTED_LABELS,
     Theory,
-    box_kinds,
     dual_label,
     leg_count,
+    plain_expansion,
     star_parity,
 )
-
-_CHECKER = (Family.SHADED_AODD, Family.SHADED_AINF,
-            Family.COLOR_AODD, Family.COLOR_AINF)
-_ORIENTED = (Family.ARROW_AODD, Family.ARROW_AEVEN, Family.ARROW_AINF)
-
-
-def _group_params(th: Theory) -> tuple[bool, int]:
-    """(grades by parity pairs, order of the simple-class group; 0 means
-    the infinite cyclic group)."""
-    if th.family in _CHECKER:
-        # 2n simple classes: two shading parities times n rotation classes
-        return True, (2 * th.n if th.n is not None else 0)
-    if th.family in _ORIENTED:
-        return False, (th.group_order() if th.n is not None else 0)
-    raise ValueError(f"{th.family.value} has no strand grading")
-
-
-def _strand_labels(th: Theory) -> tuple[Label, Label]:
-    """(P1, Q1) as strand labels."""
-    if th.family in _CHECKER:
-        return Label.RED, Label.BLUE
-    return Label.UP, Label.DOWN
 
 
 def _display_name(label: Label) -> str:
@@ -72,9 +48,9 @@ class Word:
     labels: tuple[Label, ...]
 
     def __post_init__(self):
-        _group_params(self.theory)
+        self.theory.grading()
         object.__setattr__(self, "labels", tuple(self.labels))
-        allowed = set(_strand_labels(self.theory)) | {Label.PLAIN}
+        allowed = set(plain_expansion(self.theory)) | {Label.PLAIN}
         for l in self.labels:
             if l not in allowed:
                 raise ValueError(f"{l.value} is not a strand generator")
@@ -91,8 +67,8 @@ class Word:
 
 def grading(w: Word) -> GroupElement:
     """The image of the word in the cyclic group of simple classes."""
-    pairs, order = _group_params(w.theory)
-    p1, q1 = _strand_labels(w.theory)
+    pairs, order = w.theory.grading()
+    p1, q1 = plain_expansion(w.theory)
     total = 0
     for pos, l in enumerate(w.labels):
         if l is Label.PLAIN:
@@ -113,8 +89,8 @@ def hom_dim(w1: Word, w2: Word) -> int:
 
 def _element_labels(th: Theory, g: GroupElement) -> tuple[Label, ...]:
     """The canonical shortest word with grading g."""
-    pairs, _ = _group_params(th)
-    p1, q1 = _strand_labels(th)
+    pairs, _ = th.grading()
+    p1, q1 = plain_expansion(th)
     e = g.rot
     if g.order and e > g.order - e:
         e -= g.order
@@ -149,7 +125,7 @@ def _class_vertices(th: Theory, radius: int | None):
     """BFS of simple classes under tensoring by the plain strand.  From
     any class the two summands of the strand move it one step either way
     around the cyclic class group."""
-    _, order = _group_params(th)
+    _, order = th.grading()
     ident = GroupElement.identity(False, order)
     if order:
         radius = order  # covers the whole finite group
@@ -200,7 +176,7 @@ def bratteli(th: Theory, rows: int) -> dict:
     multiplicities and the box-space dimensions (sums of squares)."""
     if rows < 0:
         raise ValueError("rows must be nonnegative")
-    _, order = _group_params(th)
+    _, order = th.grading()
     ident = GroupElement.identity(False, order)
 
     def sort_key(g: GroupElement):
@@ -256,7 +232,7 @@ def _arc_strand(word, i: int, j: int) -> Strand | None:
     if ORIENTED_LABELS.get(li) is None:
         if li != lj:
             return None
-        return make_strand(bnd("top", i), bnd("top", j), li, 0)
+        return Strand(bnd("top", i), bnd("top", j), li, 0)
     if li != dual_label(lj):
         return None
     if ORIENTED_LABELS[li] < 0:  # i is the emitting end
@@ -271,7 +247,7 @@ def _leg_strand(helper: Diagram, b: int, leg: int, word,
     if ORIENTED_LABELS.get(w) is None:
         if ORIENTED_LABELS.get(leg_lab) is not None or leg_lab != w:
             return None
-        return make_strand(boxleg(b, leg), bnd("top", pos), w, 0)
+        return Strand(boxleg(b, leg), bnd("top", pos), w, 0)
     flow = helper.leg_flow(b, leg)
     want = _top_role(w)
     if flow == want or flow == 0:
@@ -279,14 +255,6 @@ def _leg_strand(helper: Diagram, b: int, leg: int, word,
     if flow == SRC:
         return Strand(boxleg(b, leg), bnd("top", pos), leg_lab, +1)
     return Strand(boxleg(b, leg), bnd("top", pos), w, -1)
-
-
-def _kind_orbits(th: Theory) -> list[tuple]:
-    """Box kinds grouped by click orbit."""
-    groups: dict[str, list] = {}
-    for k in box_kinds(th):
-        groups.setdefault(_click_orbit_rep(th, k), []).append(k)
-    return [tuple(v) for _, v in sorted(groups.items())]
 
 
 def _realize_box(th: Theory, word, slots, orbit, cache):
@@ -357,7 +325,7 @@ def _placements(th: Theory, word, positions: tuple[int, ...],
                 yield [("arc", i, j)] + fill_in + fill_out
     if budget <= 0:
         return
-    for orbit in _kind_orbits(th):
+    for orbit in th.spec.orbits:
         k = leg_count(th, orbit[0])
         if k - 1 > len(rest):
             continue
@@ -416,21 +384,6 @@ def _canonical_shading(d: Diagram) -> bool:
     return True
 
 
-def _click_orbit_rep(th: Theory, kind) -> str:
-    """Canonical name of the click orbit of a box kind.  Box variants in
-    one orbit at the same attachment slots differ by click relations, so
-    they span the same line."""
-    from affa.theory import click_rewrite
-    seen = {kind}
-    k = kind
-    while True:
-        k, _ = click_rewrite(th, k, +1)
-        if k in seen:
-            break
-        seen.add(k)
-    return min(x.value for x in seen)
-
-
 def span_diagrams(th: Theory, word, max_boxes: int) -> list[Diagram]:
     """Spanning diagrams from nothing to the word whose boxes touch only
     the boundary: one representative per attachment topology (arcs, and
@@ -439,7 +392,7 @@ def span_diagrams(th: Theory, word, max_boxes: int) -> list[Diagram]:
     word = tuple(word)
     results = []
     seen_keys = set()
-    orbit = {k: _click_orbit_rep(th, k) for k in box_kinds(th)}
+    orbit = {k: i for i, ks in enumerate(th.spec.orbits) for k in ks}
     cache: dict = {}
     for placement in _placements(th, word, tuple(range(len(word))),
                                  max_boxes, cache):

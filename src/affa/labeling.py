@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from affa.cyclotomic import Cyclo
 from affa.diagram import Diagram, Morphism
-from affa.theory import BoxKind, Family, Label, ORIENTED_LABELS, Theory
+from affa.theory import BoxKind, Label, ORIENTED_LABELS, Theory
 
 # Crossing an oriented strand from its left face to its right face (facing
 # along the arrow) multiplies by u**ARROW_CROSS_EXP; the left face is the
@@ -24,11 +24,6 @@ from affa.theory import BoxKind, Family, Label, ORIENTED_LABELS, Theory
 # "from the point of view of the arrow"; fixed by agreement with the
 # rewriting evaluator.
 ARROW_CROSS_EXP = +1
-
-_DIHEDRAL_FAMILIES = (Family.SHADED_AODD, Family.SHADED_AINF,
-                      Family.COLOR_AODD, Family.COLOR_AINF)
-_CYCLIC_FAMILIES = (Family.ARROW_AODD, Family.ARROW_AEVEN,
-                    Family.ARROW_AINF)
 
 
 @dataclass(frozen=True)
@@ -114,19 +109,6 @@ class GroupElement:
 class RegionLabeling:
     faces: tuple
     labels: dict
-    star_face: int
-
-
-def _group_params(theory: Theory) -> tuple[bool, int]:
-    if theory.family in _DIHEDRAL_FAMILIES:
-        dihedral = True
-    elif theory.family in _CYCLIC_FAMILIES:
-        dihedral = False
-    else:
-        raise ValueError(
-            f"{theory.family.value} has no strand-group region labeling")
-    order = theory.group_order() if theory.n is not None else 0
-    return dihedral, order
 
 
 def regions(d: Diagram) -> list[list]:
@@ -154,12 +136,10 @@ def _crossing(theory: Theory, s, face_of,
         left, right = face_of[src], face_of[s.other(src)]
         u = GroupElement(False, ident.order, ARROW_CROSS_EXP)
         return [(left, right, u), (right, left, u.inverse())]
-    if s.label is Label.RED:
-        gen = (ident.times_r() if theory.family in
-               (Family.SHADED_AODD, Family.SHADED_AINF) else ident.times_b())
+    if s.label is theory.spec.r_strand:
+        gen = ident.times_r()
     else:
-        gen = (ident.times_b() if theory.family in
-               (Family.SHADED_AODD, Family.SHADED_AINF) else ident.times_r())
+        gen = ident.times_b()
     return [(fa, fb, gen), (fb, fa, gen)]
 
 
@@ -171,12 +151,11 @@ def label_regions(d: Diagram, start_face: int | None = None) -> RegionLabeling:
         raise ValueError("label_regions requires a closed diagram")
     if any(s.label is Label.PLAIN for s in d.strands):
         raise ValueError("expand plain strands before labeling")
-    dihedral, order = _group_params(d.theory)
+    dihedral, order = d.theory.labeling_group()
     ident = GroupElement.identity(dihedral, order)
     faces = regions(d)
     if not d.strands:
-        return RegionLabeling(tuple(tuple(f) for f in faces),
-                              {0: ident}, 0)
+        return RegionLabeling(tuple(tuple(f) for f in faces), {0: ident})
     _, face_of = d.face_index()
     adj: dict[int, list[tuple[int, GroupElement]]] = {
         i: [] for i in range(len(faces))}
@@ -201,7 +180,7 @@ def label_regions(d: Diagram, start_face: int | None = None) -> RegionLabeling:
                 elif labels[g] != want:
                     raise AssertionError(
                         "inconsistent region labeling: planarity bug")
-    return RegionLabeling(tuple(tuple(f) for f in faces), labels, 0)
+    return RegionLabeling(tuple(tuple(f) for f in faces), labels)
 
 
 def _box_ell(g: GroupElement, kind: BoxKind) -> int:
@@ -219,7 +198,7 @@ def invariant(m: Morphism) -> Cyclo:
     the sum of the box star-region integers, weighted by coefficients."""
     if m.bottom or m.top:
         raise ValueError("invariant requires a closed morphism")
-    _group_params(m.theory)  # reject families without a labeling
+    m.theory.labeling_group()  # reject families without a labeling
     total = Cyclo.zero()
     for d, c in m.expand_plain().terms.items():
         if not d.boxes:

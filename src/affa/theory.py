@@ -1,15 +1,21 @@
 """Presentations: families, strand alphabets, box signatures, click behavior.
 
-A Theory pins down one presentation: the family, the size parameter n
-(or m for the source categories), and the chosen root of unity given as
-(order, exponent).  Everything downstream (diagram validity, rewriting
-scalars, region labeling groups) is table-driven from here.
+Each family's presentation is one frozen FamilySpec in `SPECS`: its
+strand alphabet, box signatures, click table and the groups its regions
+and simple objects are graded by.  A Theory pins down one presentation:
+the family, the size parameter n (or m for the source categories), and
+the chosen root of unity given as (order, exponent).  Everything
+downstream (diagram validity, rewriting scalars, region labeling groups,
+gradings) reads the family's spec through the functions here.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from math import gcd
+from typing import Callable, Mapping
 
 from affa.cyclotomic import Cyclo, root_power
 
@@ -53,10 +59,139 @@ class BoxKind(enum.Enum):
 # Labels carrying an orientation, with their "upward flow" sign.
 ORIENTED_LABELS = {Label.UP: +1, Label.DOWN: -1, Label.PLUS: +1, Label.MINUS: -1}
 
-_FINITE = {Family.SHADED_AODD, Family.ARROW_AODD, Family.ARROW_AEVEN,
-           Family.COLOR_AODD}
-_INFINITE = {Family.SHADED_AINF, Family.ARROW_AINF, Family.COLOR_AINF}
-_SOURCE = {Family.VEC_CYCLIC, Family.SU2_REP}
+Signature = tuple[tuple[Label, ...], tuple[Label, ...]]
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """One family's presentation and the facts read off it.
+
+    `category` is "finite", "infinite" (no size parameter, no root, no
+    boxes) or "source" (a source category, evaluated through its functor
+    image).
+    `plain` is the pair (P1, Q1) of labels a plain strand splits into.
+    `root_bound(n)` is the order the root must divide; for the families
+    with a region labeling (`group` "dihedral" or "cyclic") it is also the
+    order of the labeling group's rotation part.  `grading_order(n)`
+    counts the simple classes.  `r_strand` is the colour whose crossing
+    multiplies a region label by the reflection r (the other colour gives
+    b).  `boxes` maps each box kind to its (bottom, top) signature as a
+    function of n; an adjoint pair has swapped signatures.  `click` maps
+    a box kind to the kind one notch of the Fourier transform turns it
+    into and the exponent of the root it costs; `clicks` adds the inverse
+    direction and `orbits` groups the kinds by click orbit.
+    """
+
+    category: str
+    alphabet: tuple[Label, ...]
+    plain: tuple[Label, Label]
+    oriented: bool = False
+    shaded: bool = False
+    group: str | None = None
+    root_bound: Callable[[int], int] | None = None
+    grading_order: Callable[[int], int] | None = None
+    r_strand: Label | None = None
+    conjugate_image: bool = False
+    boxes: Mapping[BoxKind, Callable[[int], Signature]] = \
+        field(default_factory=dict)
+    click: Mapping[BoxKind, tuple[BoxKind, int]] = field(default_factory=dict)
+    kinds: tuple[BoxKind, ...] = field(init=False)
+    clicks: Mapping[tuple[BoxKind, int], tuple[BoxKind, int]] = \
+        field(init=False)
+    orbits: tuple[tuple[BoxKind, ...], ...] = field(init=False)
+
+    def __post_init__(self):
+        clicks = {}
+        for kind, (new, exp) in self.click.items():
+            clicks[kind, +1] = (new, exp)
+            clicks[new, -1] = (kind, -exp)
+        # orbits keyed by their least kind name, in that order
+        groups: dict[str, list[BoxKind]] = {}
+        for kind in self.boxes:
+            if kind not in self.click:
+                continue
+            orbit = [kind]
+            while (nxt := self.click[orbit[-1]][0]) is not kind:
+                orbit.append(nxt)
+            groups.setdefault(min(k.value for k in orbit), []).append(kind)
+        object.__setattr__(self, "kinds", tuple(self.boxes))
+        object.__setattr__(self, "clicks", clicks)
+        object.__setattr__(self, "orbits",
+                           tuple(tuple(g) for _, g in sorted(groups.items())))
+
+
+def _alt(first: Label, second: Label, k: int) -> tuple[Label, ...]:
+    return tuple(first if i % 2 == 0 else second for i in range(k))
+
+
+def _checker_box(n: int) -> Signature:
+    return _alt(Label.BLUE, Label.RED, n), _alt(Label.RED, Label.BLUE, n)
+
+
+def _arrow_box(extra: int) -> Callable[[int], Signature]:
+    return lambda n: ((Label.UP,) * (n + extra), (Label.DOWN,) * n)
+
+
+def _top(label: Label) -> Callable[[int], Signature]:
+    return lambda n: ((), (label,) * n)
+
+
+def _flip(sig: Callable[[int], Signature]) -> Callable[[int], Signature]:
+    return lambda n: sig(n)[::-1]
+
+
+_CHECKER = (Label.RED, Label.BLUE, Label.PLAIN)
+_ARROW = (Label.UP, Label.DOWN, Label.PLAIN)
+_U, _US, _V, _VS = BoxKind.U, BoxKind.USTAR, BoxKind.V, BoxKind.VSTAR
+
+SPECS: dict[Family, FamilySpec] = {
+    Family.SHADED_AODD: FamilySpec(
+        "finite", _CHECKER, (Label.RED, Label.BLUE), shaded=True,
+        group="dihedral", root_bound=lambda n: n,
+        grading_order=lambda n: 2 * n, r_strand=Label.RED,
+        boxes={_U: _checker_box, _US: _flip(_checker_box),
+               _V: _checker_box, _VS: _flip(_checker_box)},
+        click={_U: (_VS, 1), _VS: (_U, 0), _US: (_V, 0), _V: (_US, 1)}),
+    Family.COLOR_AODD: FamilySpec(
+        "finite", _CHECKER, (Label.RED, Label.BLUE),
+        group="dihedral", root_bound=lambda n: n,
+        grading_order=lambda n: 2 * n, r_strand=Label.BLUE,
+        boxes={_V: _checker_box, _VS: _flip(_checker_box)},
+        click={_V: (_VS, 1), _VS: (_V, 0)}),
+    Family.ARROW_AODD: FamilySpec(
+        "finite", _ARROW, (Label.UP, Label.DOWN), oriented=True,
+        group="cyclic", root_bound=lambda n: 2 * n,
+        grading_order=lambda n: 2 * n,
+        boxes={_U: _arrow_box(0), _US: _flip(_arrow_box(0))},
+        click={_U: (_U, 1), _US: (_US, 1)}),
+    Family.ARROW_AEVEN: FamilySpec(
+        "finite", _ARROW, (Label.UP, Label.DOWN), oriented=True,
+        group="cyclic", root_bound=lambda n: 2 * n + 1,
+        grading_order=lambda n: 2 * n + 1,
+        boxes={_U: _arrow_box(1), _US: _flip(_arrow_box(1))},
+        click={_U: (_U, 1), _US: (_US, 1)}),
+    Family.SHADED_AINF: FamilySpec(
+        "infinite", _CHECKER, (Label.RED, Label.BLUE), shaded=True,
+        group="dihedral", r_strand=Label.RED),
+    Family.ARROW_AINF: FamilySpec(
+        "infinite", _ARROW, (Label.UP, Label.DOWN), oriented=True,
+        group="cyclic"),
+    Family.COLOR_AINF: FamilySpec(
+        "infinite", _CHECKER, (Label.RED, Label.BLUE),
+        group="dihedral", r_strand=Label.BLUE),
+    Family.VEC_CYCLIC: FamilySpec(
+        "source", (Label.DOT,), (Label.DOT, Label.DOT),
+        root_bound=lambda m: m, conjugate_image=True,
+        boxes={BoxKind.SCRIPT_U: _top(Label.DOT),
+               BoxKind.SCRIPT_USTAR: _flip(_top(Label.DOT))}),
+    Family.SU2_REP: FamilySpec(
+        "source", (Label.PLUS, Label.MINUS, Label.PLAIN),
+        (Label.PLUS, Label.MINUS), oriented=True, root_bound=lambda m: m,
+        boxes={BoxKind.NCAP_PLUS: _flip(_top(Label.PLUS)),
+               BoxKind.NCAP_MINUS: _flip(_top(Label.MINUS)),
+               BoxKind.NCUP_PLUS: _top(Label.PLUS),
+               BoxKind.NCUP_MINUS: _top(Label.MINUS)}),
+}
 
 
 @dataclass(frozen=True)
@@ -68,7 +203,7 @@ class Theory:
 
     def __post_init__(self):
         fam = self.family
-        if fam in _INFINITE:
+        if self.spec.category == "infinite":
             if self.n is not None:
                 raise ValueError(f"{fam.value} takes no size parameter")
             if (self.root_order, self.root_exp) != (1, 0):
@@ -85,23 +220,38 @@ class Theory:
         if not (0 <= self.root_exp < self.root_order):
             raise ValueError("root exponent must be reduced mod the order")
 
+    @staticmethod
+    def with_root(family: Family, n: int, k: int) -> "Theory":
+        """The theory whose root is the k-th power of a primitive root of
+        the family's full order, in lowest terms."""
+        cap = Theory(family, n).root_bound()
+        k %= cap
+        g = gcd(k, cap)
+        return Theory(family, n, cap // g, k // g)
+
+    @property
+    def spec(self) -> FamilySpec:
+        return SPECS[self.family]
+
+    @cached_property
+    def _boxes(self) -> dict[BoxKind, tuple[Signature, tuple[Label, ...]]]:
+        """Per box kind: the signature and the ccw cyclic signature."""
+        out = {}
+        for kind, sig in self.spec.boxes.items():
+            bot, top = sig(self.n)
+            out[kind] = ((bot, top), bot + top[::-1])
+        return out
+
     def root_bound(self) -> int:
         """The group order the root must divide (n, 2n, 2n+1, or m)."""
-        fam, n = self.family, self.n
-        if fam in (Family.SHADED_AODD, Family.COLOR_AODD):
-            return n
-        if fam is Family.ARROW_AODD:
-            return 2 * n
-        if fam is Family.ARROW_AEVEN:
-            return 2 * n + 1
-        if fam in _SOURCE:
-            return n
-        raise ValueError(f"{fam.value} has no root bound")
+        if self.spec.root_bound is None:
+            raise ValueError(f"{self.family.value} has no root bound")
+        return self.spec.root_bound(self.n)
 
     @property
     def m(self) -> int:
         """Alias for the source-category size parameter."""
-        if self.family not in _SOURCE:
+        if self.spec.category != "source":
             raise ValueError("m is only defined for source categories")
         return self.n
 
@@ -110,35 +260,47 @@ class Theory:
         return root_power(self.root_order, self.root_exp)
 
     def is_oriented(self) -> bool:
-        return self.family in (Family.ARROW_AODD, Family.ARROW_AEVEN,
-                               Family.ARROW_AINF, Family.SU2_REP)
+        return self.spec.oriented
 
     def is_shaded(self) -> bool:
-        return self.family in (Family.SHADED_AODD, Family.SHADED_AINF)
+        return self.spec.shaded
 
     def is_planar_algebra(self) -> bool:
         """True for the theories the evaluator works in directly."""
-        return self.family in _FINITE | _INFINITE
+        return self.spec.category != "source"
 
-    # -- group size for the van-Kampen / grading group ------------------
+    # -- the van-Kampen labeling group and the grading ------------------
     def group_order(self) -> int:
-        fam, n = self.family, self.n
-        if fam is Family.SHADED_AODD:
-            return n          # dihedral D_n parameter
-        if fam is Family.COLOR_AODD:
-            return n          # dihedral D_n parameter
-        if fam is Family.ARROW_AODD:
-            return 2 * n      # cyclic Z_2n
-        if fam is Family.ARROW_AEVEN:
-            return 2 * n + 1  # cyclic Z_2n+1
-        raise ValueError(f"{fam.value} has no finite labeling group")
+        """The rotation order of the labeling group (D_n's n, or the
+        order of the cyclic group)."""
+        if self.spec.group is None or self.n is None:
+            raise ValueError(
+                f"{self.family.value} has no finite labeling group")
+        return self.root_bound()
+
+    def labeling_group(self) -> tuple[bool, int]:
+        """(dihedral?, rotation order; 0 means the infinite group) of the
+        region-labeling group."""
+        if self.spec.group is None:
+            raise ValueError(
+                f"{self.family.value} has no strand-group region labeling")
+        order = self.group_order() if self.n is not None else 0
+        return self.spec.group == "dihedral", order
+
+    def grading(self) -> tuple[bool, int]:
+        """(grades by parity pairs, order of the simple-class group; 0
+        means the infinite cyclic group)."""
+        if self.spec.group is None:
+            raise ValueError(f"{self.family.value} has no strand grading")
+        order = self.spec.grading_order(self.n) if self.n is not None else 0
+        return self.spec.group == "dihedral", order
 
     # -- serialization ---------------------------------------------------
     def to_json(self) -> dict:
         out: dict = {"family": self.family.value}
         if self.n is not None:
             out["n"] = self.n
-        if self.family not in _INFINITE:
+        if self.spec.category != "infinite":
             out["root"] = {"order": self.root_order, "exp": self.root_exp}
         return out
 
@@ -150,31 +312,32 @@ class Theory:
             fam = Family(obj["family"])
         except ValueError:
             raise ValueError(f"unknown family {obj['family']!r}") from None
-        root = obj.get("root", {"order": 1, "exp": 0})
-        return Theory(fam, obj.get("n"),
-                      int(root.get("order", 1)), int(root.get("exp", 0)))
+        n, root = obj.get("n"), obj.get("root", {"order": 1, "exp": 0})
+        if not isinstance(n, (int, type(None))) or not isinstance(root, dict):
+            raise ValueError("malformed theory: n must be an integer and "
+                             "root an object")
+        try:
+            order, exp = int(root.get("order", 1)), int(root.get("exp", 0))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed theory root: {exc}") from None
+        return Theory(fam, n, order, exp)
+
+
+def rooted_theories(max_n: int) -> list[Theory]:
+    """Every finite-family theory with n <= max_n, once per legal root."""
+    return [Theory.with_root(fam, n, k)
+            for n in range(1, max_n + 1)
+            for fam, spec in SPECS.items() if spec.category == "finite"
+            for k in range(spec.root_bound(n))]
 
 
 def alphabet(theory: Theory) -> frozenset[Label]:
-    fam = theory.family
-    if fam in (Family.SHADED_AODD, Family.COLOR_AODD,
-               Family.SHADED_AINF, Family.COLOR_AINF):
-        return frozenset({Label.RED, Label.BLUE, Label.PLAIN})
-    if fam in (Family.ARROW_AODD, Family.ARROW_AEVEN, Family.ARROW_AINF):
-        return frozenset({Label.UP, Label.DOWN, Label.PLAIN})
-    if fam is Family.VEC_CYCLIC:
-        return frozenset({Label.DOT})
-    if fam is Family.SU2_REP:
-        return frozenset({Label.PLUS, Label.MINUS, Label.PLAIN})
-    raise ValueError(fam)
+    return frozenset(theory.spec.alphabet)
 
 
 def plain_expansion(theory: Theory) -> tuple[Label, Label]:
     """The two labeled variants a Plain strand decomposes into."""
-    if theory.is_oriented():
-        return (Label.UP, Label.DOWN) if theory.family is not Family.SU2_REP \
-            else (Label.PLUS, Label.MINUS)
-    return (Label.RED, Label.BLUE)
+    return theory.spec.plain
 
 
 def dual_label(label: Label) -> Label:
@@ -185,59 +348,20 @@ def dual_label(label: Label) -> Label:
 
 
 def box_kinds(theory: Theory) -> tuple[BoxKind, ...]:
-    fam = theory.family
-    if fam is Family.SHADED_AODD:
-        return (BoxKind.U, BoxKind.USTAR, BoxKind.V, BoxKind.VSTAR)
-    if fam in (Family.ARROW_AODD, Family.ARROW_AEVEN):
-        return (BoxKind.U, BoxKind.USTAR)
-    if fam is Family.COLOR_AODD:
-        return (BoxKind.V, BoxKind.VSTAR)
-    if fam in _INFINITE:
-        return ()
-    if fam is Family.VEC_CYCLIC:
-        return (BoxKind.SCRIPT_U, BoxKind.SCRIPT_USTAR)
-    if fam is Family.SU2_REP:
-        return (BoxKind.NCAP_PLUS, BoxKind.NCAP_MINUS,
-                BoxKind.NCUP_PLUS, BoxKind.NCUP_MINUS)
-    raise ValueError(fam)
+    return theory.spec.kinds
 
 
-def _alt(first: Label, second: Label, k: int) -> tuple[Label, ...]:
-    return tuple(first if i % 2 == 0 else second for i in range(k))
+def _box(theory: Theory, kind: BoxKind):
+    try:
+        return theory._boxes[kind]
+    except KeyError:
+        raise ValueError(f"{kind.value} is not a box of "
+                         f"{theory.family.value}") from None
 
 
-def box_signature(theory: Theory, kind: BoxKind) -> tuple[tuple[Label, ...], tuple[Label, ...]]:
+def box_signature(theory: Theory, kind: BoxKind) -> Signature:
     """(bottom labels, top labels) at rotation offset 0."""
-    if kind not in box_kinds(theory):
-        raise ValueError(f"{kind.value} is not a box of {theory.family.value}")
-    fam, n = theory.family, theory.n
-    if fam is Family.SHADED_AODD or fam is Family.COLOR_AODD:
-        bot = _alt(Label.BLUE, Label.RED, n)
-        top = _alt(Label.RED, Label.BLUE, n)
-        if kind in (BoxKind.U, BoxKind.V):
-            return bot, top
-        return top, bot
-    if fam is Family.ARROW_AODD:
-        if kind is BoxKind.U:
-            return (Label.UP,) * n, (Label.DOWN,) * n
-        return (Label.DOWN,) * n, (Label.UP,) * n
-    if fam is Family.ARROW_AEVEN:
-        if kind is BoxKind.U:
-            return (Label.UP,) * (n + 1), (Label.DOWN,) * n
-        return (Label.DOWN,) * n, (Label.UP,) * (n + 1)
-    if fam is Family.VEC_CYCLIC:
-        if kind is BoxKind.SCRIPT_U:
-            return (), (Label.DOT,) * n
-        return (Label.DOT,) * n, ()
-    if fam is Family.SU2_REP:
-        if kind is BoxKind.NCAP_PLUS:
-            return (Label.PLUS,) * n, ()
-        if kind is BoxKind.NCAP_MINUS:
-            return (Label.MINUS,) * n, ()
-        if kind is BoxKind.NCUP_PLUS:
-            return (), (Label.PLUS,) * n
-        return (), (Label.MINUS,) * n
-    raise ValueError(fam)
+    return _box(theory, kind)[0]
 
 
 def cyc_signature(theory: Theory, kind: BoxKind) -> tuple[Label, ...]:
@@ -246,22 +370,22 @@ def cyc_signature(theory: Theory, kind: BoxKind) -> tuple[Label, ...]:
     Cyclic index c corresponds to bottom leg c for c < #bottom, then the
     top legs right-to-left.
     """
-    bot, top = box_signature(theory, kind)
-    return bot + tuple(reversed(top))
+    return _box(theory, kind)[1]
 
 
 def leg_count(theory: Theory, kind: BoxKind) -> int:
-    bot, top = box_signature(theory, kind)
-    return len(bot) + len(top)
+    return len(_box(theory, kind)[1])
+
+
+_ADJOINT = {BoxKind.U: BoxKind.USTAR, BoxKind.V: BoxKind.VSTAR,
+            BoxKind.SCRIPT_U: BoxKind.SCRIPT_USTAR,
+            BoxKind.NCAP_PLUS: BoxKind.NCUP_PLUS,
+            BoxKind.NCAP_MINUS: BoxKind.NCUP_MINUS}
+_ADJOINT.update({v: k for k, v in _ADJOINT.items()})
 
 
 def kind_adjoint(kind: BoxKind) -> BoxKind:
-    pairs = {BoxKind.U: BoxKind.USTAR, BoxKind.V: BoxKind.VSTAR,
-             BoxKind.SCRIPT_U: BoxKind.SCRIPT_USTAR,
-             BoxKind.NCAP_PLUS: BoxKind.NCUP_PLUS,
-             BoxKind.NCAP_MINUS: BoxKind.NCUP_MINUS}
-    inv = {v: k for k, v in pairs.items()}
-    return pairs.get(kind) or inv[kind]
+    return _ADJOINT[kind]
 
 
 def star_parity(kind: BoxKind) -> int:
@@ -274,30 +398,9 @@ def click_rewrite(theory: Theory, kind: BoxKind, direction: int) -> tuple[BoxKin
     inverse (direction=-1) to a generator box: (new kind, scalar cost)."""
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 or -1")
-    root = theory.root()
-    one = Cyclo.one(theory.root_order)
-    fam = theory.family
-    if fam is Family.SHADED_AODD:
-        if direction == +1:
-            table = {BoxKind.U: (BoxKind.VSTAR, root),
-                     BoxKind.VSTAR: (BoxKind.U, one),
-                     BoxKind.USTAR: (BoxKind.V, one),
-                     BoxKind.V: (BoxKind.USTAR, root)}
-        else:
-            table = {BoxKind.U: (BoxKind.VSTAR, one),
-                     BoxKind.VSTAR: (BoxKind.U, root.inverse()),
-                     BoxKind.USTAR: (BoxKind.V, root.inverse()),
-                     BoxKind.V: (BoxKind.USTAR, one)}
-        return table[kind]
-    if fam in (Family.ARROW_AODD, Family.ARROW_AEVEN):
-        scalar = root if direction == +1 else root.inverse()
-        return kind, scalar
-    if fam is Family.COLOR_AODD:
-        if direction == +1:
-            table = {BoxKind.V: (BoxKind.VSTAR, root),
-                     BoxKind.VSTAR: (BoxKind.V, one)}
-        else:
-            table = {BoxKind.V: (BoxKind.VSTAR, one),
-                     BoxKind.VSTAR: (BoxKind.V, root.inverse())}
-        return table[kind]
-    raise ValueError(f"{fam.value} boxes have no click relation")
+    try:
+        new, exp = theory.spec.clicks[kind, direction]
+    except KeyError:
+        raise ValueError(f"{kind.value} boxes have no click relation in "
+                         f"{theory.family.value}") from None
+    return new, root_power(theory.root_order, exp * theory.root_exp)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -40,9 +41,25 @@ def test_unknown_flag_is_an_input_error():
     assert run(["eval", "--frobnicate"]) == 1
 
 
-def test_eval_batch_ordered_and_reports_errors(tmp_path):
-    good = Morphism.loop(AR1, Label.PLAIN).serialize().decode()
-    lines = [good.replace("\n", " "), "{bad", good.replace("\n", " ")]
+GOOD_LINE = json.loads(Morphism.loop(AR1, Label.PLAIN).serialize())
+
+
+def _zero_order_coeff() -> str:
+    doc = json.loads(json.dumps(GOOD_LINE))
+    doc["terms"][0]["coeff"] = {"order": 0, "coeffs": ["1"]}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("bad", [
+    "{bad",
+    json.dumps(dict(GOOD_LINE, terms=5)),
+    _zero_order_coeff(),
+    json.dumps(dict(GOOD_LINE, theory=dict(GOOD_LINE["theory"], root=5))),
+], ids=["bad-json", "terms-not-a-list", "coeff-order-zero",
+        "theory-root-not-an-object"])
+def test_eval_batch_ordered_and_reports_errors(tmp_path, bad):
+    good = json.dumps(GOOD_LINE)
+    lines = [good, bad, good]
     src = tmp_path / "batch.jsonl"
     src.write_text("\n".join(lines))
     out = tmp_path / "batch.out"
@@ -143,3 +160,62 @@ def test_selftest_smoke(tmp_path):
     assert run(["selftest", "--draws", "3", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["ok"] and doc["relations_checked"] > 0
+
+
+# -- golden output -----------------------------------------------------------
+
+DATA = Path(__file__).parent / "data" / "cli"
+
+# (expected-output file, argv); input files are read from DATA.  The
+# expected outputs were recorded once and pin every subcommand's output
+# byte for byte: values, steps, matrix row order, region labels.
+GOLDEN = [
+    ("eval-phase-pair", ["eval", "--in", "phase_pair.json"]),
+    ("eval-batch", ["eval", "--batch", "batch.jsonl"]),
+    ("label-shaded", ["label", "--in", "shaded_draw.json"]),
+    ("label-arrow", ["label", "--in", "arrow_draw.json"]),
+    ("relcheck-shaded", ["relcheck", "--family", "ShadedAodd", "--n", "2",
+                         "--root-exp", "1"]),
+    ("relcheck-arrow-even", ["relcheck", "--family", "UnshadedArrowAeven",
+                             "--n", "1", "--root-exp", "2"]),
+    ("homdim", ["homdim", "--family", "UnshadedColorAodd", "--n", "2",
+                "--w1", "Red,Blue", "--w2", "Blue,Red"]),
+    ("graph-shaded", ["graph", "--family", "ShadedAodd", "--n", "3",
+                      "--root-exp", "1"]),
+    ("graph-arrow-inf-dot", ["graph", "--family", "UnshadedArrowAInf",
+                             "--radius", "2", "--format", "dot"]),
+    ("bratteli-color", ["bratteli", "--family", "UnshadedColorAodd",
+                        "--n", "2", "--rows", "3"]),
+    ("bratteli-arrow-dot", ["bratteli", "--family", "UnshadedArrowAeven",
+                            "--n", "1", "--rows", "3", "--format", "dot"]),
+    ("gram-shaded", ["gram", "--family", "ShadedAodd", "--n", "1",
+                     "--word", "Red,Red,Red,Red,Blue,Blue"]),
+    ("gram-shaded-root", ["gram", "--family", "ShadedAodd", "--n", "2",
+                          "--root-exp", "1",
+                          "--word", "Red,Blue,Red,Blue,Red,Red"]),
+    ("gram-color", ["gram", "--family", "UnshadedColorAodd", "--n", "1",
+                    "--word", "Red,Red,Red,Red,Red,Blue"]),
+    ("gram-color-root", ["gram", "--family", "UnshadedColorAodd", "--n", "2",
+                         "--root-exp", "1",
+                         "--word", "Blue,Red,Blue,Red,Blue,Blue"]),
+    ("gram-arrow-odd", ["gram", "--family", "UnshadedArrowAodd", "--n", "1",
+                        "--root-exp", "1",
+                        "--word", "Up,Up,Up,Up,Down,Down"]),
+    ("gram-arrow-even", ["gram", "--family", "UnshadedArrowAeven", "--n", "1",
+                         "--root-exp", "1",
+                         "--word", "Up,Up,Up,Down,Down,Down"]),
+    ("functor-check-vec", ["functor-check", "--which", "vec", "--m", "3",
+                           "--zeta-exp", "1"]),
+    ("functor-check-rep", ["functor-check", "--which", "rep", "--m", "2"]),
+    ("classify", ["classify", "--family", "unshaded-a-odd", "--n", "2"]),
+    ("selftest", ["selftest", "--draws", "1"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_output_is_byte_identical_to_recorded(name, argv, tmp_path,
+                                              monkeypatch):
+    monkeypatch.chdir(DATA)
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.out").read_bytes()

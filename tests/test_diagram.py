@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affa.cyclotomic import Cyclo, root_power
-from affa.diagram import Diagram, Morphism, Strand, anchor, bnd, boxleg, make_strand
+from affa.diagram import Diagram, Morphism, Strand, anchor, bnd, boxleg
 from affa.theory import BoxKind, Family, Label, Theory
 
 
@@ -49,19 +49,19 @@ def test_bare_box_face_count():
 
 
 def test_crossing_is_rejected():
-    s1 = make_strand(bnd("top", 0), bnd("top", 2), Label.RED)
-    s2 = make_strand(bnd("top", 1), bnd("top", 3), Label.RED)
+    s1 = Strand(bnd("top", 0), bnd("top", 2), Label.RED)
+    s2 = Strand(bnd("top", 1), bnd("top", 3), Label.RED)
     d = Diagram.make(SH2, [], [Label.RED] * 4, [], [s1, s2])
     assert any("non-planar" in e for e in d.validate())
     # the nested matching is fine
-    s1 = make_strand(bnd("top", 0), bnd("top", 3), Label.RED)
-    s2 = make_strand(bnd("top", 1), bnd("top", 2), Label.RED)
+    s1 = Strand(bnd("top", 0), bnd("top", 3), Label.RED)
+    s2 = Strand(bnd("top", 1), bnd("top", 2), Label.RED)
     d = Diagram.make(SH2, [], [Label.RED] * 4, [], [s1, s2])
     assert d.validate() == []
 
 
 def test_label_mismatch_is_rejected():
-    s = make_strand(bnd("bottom", 0), bnd("top", 0), Label.RED)
+    s = Strand(bnd("bottom", 0), bnd("top", 0), Label.RED)
     d = Diagram.make(SH2, [Label.BLUE], [Label.RED], [], [s])
     assert d.validate() != []
 

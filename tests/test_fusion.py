@@ -104,8 +104,7 @@ def test_infinite_graph_needs_and_respects_radius():
 def test_bratteli_matches_walk_counts():
     rows = 6
     for th in (AR2, SH2, AE2):
-        from affa.fusion import _group_params
-        _, m = _group_params(th)
+        _, m = th.grading()
         b = bratteli(th, rows)
         # independent oracle: multiplicities are +-1 walk counts on Z_m
         walks = {0: 1}

@@ -57,7 +57,7 @@ def test_regions_counts():
 def test_red_loop_labeling():
     lab = label_regions(the_diagram(Morphism.loop(SH2, Label.RED)))
     got = sorted(lab.labels.values(), key=lambda g: g.word())
-    assert lab.labels[lab.star_face].is_identity()
+    assert lab.labels[0].is_identity()
     assert {g.word() for g in got} == {"1", "r"}
     # the color family records red strands with the other reflection
     lab = label_regions(the_diagram(Morphism.loop(CO2, Label.RED)))
@@ -147,4 +147,4 @@ def test_relabeling_from_any_face_translates_back():
 def test_star_face_is_identity():
     d = the_diagram(_closed_pair(SH2, BoxKind.U))
     lab = label_regions(d)
-    assert lab.labels[lab.star_face].is_identity()
+    assert lab.labels[0].is_identity()

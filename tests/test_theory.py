@@ -2,6 +2,7 @@ import pytest
 
 from affa.cyclotomic import Cyclo
 from affa.theory import (
+    SPECS,
     BoxKind,
     Family,
     Label,
@@ -14,6 +15,7 @@ from affa.theory import (
     dual_label,
     kind_adjoint,
     leg_count,
+    rooted_theories,
     star_parity,
 )
 
@@ -106,33 +108,49 @@ def test_theory_json_round_trip():
 
 
 def test_click_rewrite_round_trips():
-    cases = [(shaded(3, 3, 1), BoxKind.U), (shaded(2, 2, 1), BoxKind.V),
-             (arrow_odd(2, 4, 3), BoxKind.U),
-             (arrow_even(2, 5, 2), BoxKind.USTAR),
-             (color(3, 3, 2), BoxKind.VSTAR)]
-    for th, kind in cases:
-        k2, c_fwd = click_rewrite(th, kind, +1)
-        k3, c_back = click_rewrite(th, k2, -1)
-        assert k3 is kind
-        assert c_fwd * c_back == Cyclo.one()
+    for th in rooted_theories(3):
+        for kind in box_kinds(th):
+            k2, c_fwd = click_rewrite(th, kind, +1)
+            k3, c_back = click_rewrite(th, k2, -1)
+            assert k3 is kind
+            assert c_fwd * c_back == Cyclo.one()
 
 
 def test_full_rotation_is_identity():
     """Applying the click rewrite leg-count many times returns the original
     kind with total scalar 1."""
-    cases = [(shaded(3, 3, 1), BoxKind.U), (shaded(2, 2, 1), BoxKind.VSTAR),
-             (arrow_odd(2, 4, 1), BoxKind.U),
-             (arrow_even(1, 3, 1), BoxKind.U),
-             (arrow_even(2, 5, 3), BoxKind.USTAR),
-             (color(3, 3, 1), BoxKind.V)]
-    for th, kind in cases:
-        k = leg_count(th, kind)
-        cur, total = kind, Cyclo.one()
-        for _ in range(k):
-            cur, c = click_rewrite(th, cur, +1)
-            total = total * c
-        assert cur is kind
-        assert total == Cyclo.one()
+    for th in rooted_theories(3):
+        for kind in box_kinds(th):
+            cur, total = kind, Cyclo.one()
+            for _ in range(leg_count(th, kind)):
+                cur, c = click_rewrite(th, cur, +1)
+                total = total * c
+            assert cur is kind
+            assert total == Cyclo.one()
+
+
+def test_rooted_theories_cover_every_root():
+    theories = rooted_theories(3)
+    assert len(theories) == len(set(theories)) == 39
+    assert {th.family for th in theories} == {
+        Family.SHADED_AODD, Family.ARROW_AODD, Family.ARROW_AEVEN,
+        Family.COLOR_AODD}
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_family_spec_is_consistent(family):
+    infinite = SPECS[family].category == "infinite"
+    for n in (1, 2, 3):
+        th = Theory(family, None if infinite else n)
+        for kind in box_kinds(th):
+            bot, top = box_signature(th, kind)
+            assert set(bot + top) <= alphabet(th)
+            assert box_signature(th, kind_adjoint(kind)) == (top, bot)
+        # the click orbits partition the boxes of every family with clicks
+        orbits = [k for orbit in th.spec.orbits for k in orbit]
+        if th.spec.click:
+            assert sorted(orbits, key=lambda k: k.value) == \
+                sorted(box_kinds(th), key=lambda k: k.value)
 
 
 def test_box_kind_lists():
