@@ -99,18 +99,14 @@ def _eval_batch(args) -> int:
 
 
 def _cmd_label(args) -> int:
-    from affa.labeling import _box_ell, invariant, label_regions
+    from affa.labeling import invariant, term_exponent
     m = _read_morphism(args.infile)
     value = invariant(m)
     expanded = sorted(m.expand_plain().terms, key=repr)
     d = expanded[0]
     if d.boxes:
-        lab = label_regions(d)
-        _, face_of = d.face_index()
+        lab, ell = term_exponent(d)
         labels = {str(f): g.word() for f, g in sorted(lab.labels.items())}
-        ell = sum(_box_ell(lab.labels[face_of[d.star_face_endpoint(b)]], kind)
-                  for b, (kind, _) in enumerate(d.boxes))
-        ell %= d.theory.group_order()
         faces = len(lab.faces)
     else:
         faces = max(len(d.faces()), 1)

@@ -236,7 +236,7 @@ class Cyclo:
         try:
             order = int(obj["order"])
             coeffs = [Fraction(c) for c in obj["coeffs"]]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed scalar: {exc}") from None
         if order < 1:
             raise ValueError(f"scalar order must be positive, got {order}")

@@ -28,14 +28,17 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from affa.cyclotomic import Cyclo
 from affa.theory import (
+    SNK,
+    SRC,
     BoxKind,
     Label,
     ORIENTED_LABELS,
     Theory,
     alphabet,
+    boundary_flow,
+    boundary_object,
     box_kinds,
     box_signature,
-    cyc_signature,
     dual_label,
     kind_adjoint,
     leg_count,
@@ -44,8 +47,6 @@ from affa.theory import (
 )
 
 Endpoint = tuple
-
-SRC, SNK = +1, -1
 
 
 def bnd(side: str, i: int) -> Endpoint:
@@ -189,15 +190,23 @@ def _object_at(theory: Theory, boxes: Sequence[tuple[BoxKind, int]],
     """Oriented object presented at endpoint e by a strand whose flow role
     there is `role`; None when unconstrained (anchors)."""
     if e[0] == "bnd":
-        up, down = plain_expansion(theory)
-        if e[1] == "bottom":
-            return up if role == SRC else down
-        return up if role == SNK else down
+        return boundary_object(theory, e[1], role)
     if e[0] == "box":
         kind, rot = boxes[e[1]]
-        sig = cyc_signature(theory, kind)
-        return sig[(e[2] - rot) % len(sig)]
+        return theory.leg(kind, rot, e[2])[0]
     return None
+
+
+def leg_to_boundary(theory: Theory, leg: tuple[Label, int],
+                    side: str) -> tuple[Label, Label, int]:
+    """A strand from a box leg with leg-table entry `leg` straight to a
+    boundary point on `side`: (the letter the point must carry, the
+    strand's label, its direction from the leg to the point)."""
+    lab, flow = leg
+    if not flow:
+        return lab, lab, 0
+    letter = boundary_object(theory, side, -flow)
+    return letter, (lab if flow == SRC else letter), flow
 
 
 @dataclass(frozen=True)
@@ -252,24 +261,6 @@ class Diagram:
                        len(remap) if remap else n_anchors, tuple(out))
 
     # -- structural helpers -------------------------------------------
-    def leg_label(self, b: int, leg: int) -> Label:
-        kind, rot = self.boxes[b]
-        sig = cyc_signature(self.theory, kind)
-        return sig[(leg - rot) % len(sig)]
-
-    def leg_flow(self, b: int, leg: int) -> int:
-        """SRC if the strand at this leg flows out of the box, SNK into it."""
-        kind, rot = self.boxes[b]
-        sig = cyc_signature(self.theory, kind)
-        k = len(sig)
-        c = (leg - rot) % k
-        sign = ORIENTED_LABELS.get(sig[c])
-        if sign is None:
-            return 0
-        p = len(box_signature(self.theory, kind)[0])
-        into_box = (sign > 0) == (c < p)
-        return SNK if into_box else SRC
-
     def endpoint_map(self) -> dict[Endpoint, Strand]:
         out: dict[Endpoint, Strand] = {}
         for s in self.strands:
@@ -442,7 +433,7 @@ class Diagram:
             if s.dir:
                 errors.append(f"{s.label.value} strand cannot be directed")
             for e in (s.a, s.b):
-                exp = self._endpoint_label(e)
+                exp = self._end(e)[0]
                 if exp is not None and exp is not Label.PLAIN and exp != s.label:
                     errors.append(f"strand label {s.label.value} != endpoint "
                                   f"label {exp.value} at {e}")
@@ -451,7 +442,7 @@ class Diagram:
         if s.dir not in (+1, -1):
             return [f"oriented strand needs a direction: {s}"]
         for e in (s.a, s.b):
-            need = self._endpoint_flow(e)
+            need = self._end(e)[1]
             if need and need != s.flow_at(e):
                 errors.append(f"flow disagreement at {e}")
         src = s.a if s.dir == +1 else s.b
@@ -464,26 +455,16 @@ class Diagram:
     def _bnd_label(self, e: Endpoint) -> Label:
         return (self.bottom if e[1] == "bottom" else self.top)[e[2]]
 
-    def _endpoint_label(self, e: Endpoint) -> Label | None:
+    def _end(self, e: Endpoint) -> tuple[Label | None, int]:
+        """The label at e and the flow role it requires there (SRC/SNK,
+        or 0 if unconstrained); (None, 0) at anchors."""
         if e[0] == "bnd":
-            return self._bnd_label(e)
+            lab = self._bnd_label(e)
+            return lab, boundary_flow(lab, e[1])
         if e[0] == "box":
-            return self.leg_label(e[1], e[2])
-        return None
-
-    def _endpoint_flow(self, e: Endpoint) -> int:
-        """Required flow role at e (SRC/SNK), or 0 if unconstrained."""
-        if e[0] == "box":
-            return self.leg_flow(e[1], e[2])
-        if e[0] == "bnd":
-            sign = ORIENTED_LABELS.get(self._bnd_label(e))
-            if sign is None:
-                return 0
-            upward = sign > 0
-            if e[1] == "bottom":
-                return SRC if upward else SNK
-            return SNK if upward else SRC
-        return 0
+            kind, rot = self.boxes[e[1]]
+            return self.theory.leg(kind, rot, e[2])
+        return None, 0
 
     def _shading_consistent(self, faces, face_of) -> bool:
         """Exists a checkerboard parity per component matching all boxes."""
@@ -580,10 +561,10 @@ class Diagram:
             strands = [Strand(ep(s["a"]), ep(s["b"]), Label(s["label"]),
                               int(s.get("dir", 0)))
                        for s in obj.get("strands", [])]
-        except (KeyError, ValueError, TypeError) as exc:
+            n_anchors = int(obj.get("anchors", 0))
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed diagram: {exc}") from None
-        d = Diagram.make(th, bottom, top, boxes, strands,
-                         int(obj.get("anchors", 0)))
+        d = Diagram.make(th, bottom, top, boxes, strands, n_anchors)
         errs = d.validate()
         if errs:
             raise ValueError("invalid diagram: " + "; ".join(errs))
@@ -622,65 +603,29 @@ class Morphism:
 
     @staticmethod
     def identity(theory: Theory, word: Sequence[Label]) -> "Morphism":
-        strands = []
-        for i, lab in enumerate(word):
-            sign = ORIENTED_LABELS.get(lab)
-            dir = 0 if sign is None else (+1 if sign > 0 else -1)
-            strands.append(Strand(bnd("bottom", i), bnd("top", i), lab, dir))
+        strands = [Strand(bnd("bottom", i), bnd("top", i), lab,
+                          boundary_flow(lab, "bottom"))
+                   for i, lab in enumerate(word)]
         return Morphism.from_diagram(Diagram.make(theory, word, word, [],
                                                   strands))
 
     @staticmethod
     def generator(theory: Theory, kind: BoxKind, rot: int = 0) -> "Morphism":
         """The bare generator box at the given rotation offset, legs running
-        straight to the boundary."""
+        straight to the boundary: the first legs to the bottom left to
+        right, the rest to the top right to left."""
         k = leg_count(theory, kind)
-        rot %= k
-        sig = cyc_signature(theory, kind)
         p = len(box_signature(theory, kind)[0])
-        q = k - p
-        box = [(kind, rot)]
-        bottom: list[Label] = []
-        top: list[Label] = []
+        letters: list[Label] = []
         strands = []
-        for c in range(p):
-            lab = sig[(c - rot) % k]
-            if lab not in ORIENTED_LABELS:
-                bottom.append(lab)
-                strands.append(Strand(bnd("bottom", c), boxleg(0, c), lab, 0))
-                continue
-            # flow at the leg is intrinsic; the boundary shows the object
-            # matching that flow seen from below
-            helper = Diagram(theory, (), (), tuple(box), 0, ())
-            flow = helper.leg_flow(0, c)
-            if flow == SNK:   # into the box from below
-                obj = _object_at(theory, box, bnd("bottom", c), SRC)
-                bottom.append(obj)
-                strands.append(Strand(bnd("bottom", c), boxleg(0, c),
-                                      obj, +1))
-            else:             # out of the box, downward
-                bottom.append(_object_at(theory, box, bnd("bottom", c), SNK))
-                strands.append(Strand(bnd("bottom", c), boxleg(0, c),
-                                      lab, -1))
-        for j in range(q):
-            leg = p + (q - 1 - j)
-            lab = sig[(leg - rot) % k]
-            if lab not in ORIENTED_LABELS:
-                top.append(lab)
-                strands.append(Strand(boxleg(0, leg), bnd("top", j), lab, 0))
-                continue
-            helper = Diagram(theory, (), (), tuple(box), 0, ())
-            flow = helper.leg_flow(0, leg)
-            if flow == SRC:   # out of the box, upward
-                top.append(_object_at(theory, box, bnd("top", j), SNK))
-                strands.append(Strand(boxleg(0, leg), bnd("top", j),
-                                      lab, +1))
-            else:             # into the box from above
-                obj = _object_at(theory, box, bnd("top", j), SRC)
-                top.append(obj)
-                strands.append(Strand(boxleg(0, leg), bnd("top", j),
-                                      obj, -1))
-        d = Diagram.make(theory, bottom, top, box, strands)
+        for c in range(k):
+            side, i = ("bottom", c) if c < p else ("top", k - 1 - c)
+            letter, lab, flow = leg_to_boundary(
+                theory, theory.leg(kind, rot, c), side)
+            letters.append(letter)
+            strands.append(Strand(boxleg(0, c), bnd(side, i), lab, flow))
+        d = Diagram.make(theory, letters[:p], letters[p:][::-1],
+                         [(kind, rot)], strands)
         return Morphism.from_diagram(d)
 
     @staticmethod

@@ -19,8 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from affa.cyclotomic import Cyclo
-from affa.diagram import Diagram, Morphism, SNK, SRC, Strand
-from affa.theory import BoxKind, Family, Label, ORIENTED_LABELS, Theory
+from affa.diagram import Diagram, Morphism, Strand
+from affa.theory import (
+    SRC,
+    BoxKind,
+    Family,
+    Label,
+    ORIENTED_LABELS,
+    Theory,
+    boundary_flow,
+)
 
 _LABEL_MAP = {Label.DOT: Label.DOWN, Label.PLUS: Label.UP,
               Label.MINUS: Label.DOWN, Label.PLAIN: Label.PLAIN}
@@ -96,18 +104,6 @@ def image_theory(th: Theory) -> Theory:
     return Theory(Family.ARROW_AEVEN, (m - 1) // 2, order, exp)
 
 
-def _image_role(d: Diagram, helper: Diagram, e) -> int:
-    if e[0] == "box":
-        return helper.leg_flow(e[1], e[2])
-    if e[0] == "bnd":
-        word = d.bottom if e[1] == "bottom" else d.top
-        sign = ORIENTED_LABELS[_LABEL_MAP[word[e[2]]]]
-        if e[1] == "bottom":
-            return SRC if sign > 0 else SNK
-        return SNK if sign > 0 else SRC
-    return 0
-
-
 def _image_diagram(d: Diagram, tgt: Theory) -> Diagram:
     boxes = []
     for kind, rot in d.boxes:
@@ -115,7 +111,14 @@ def _image_diagram(d: Diagram, tgt: Theory) -> Diagram:
             raise ValueError("rotated source boxes are outside the "
                              "functor image")
         boxes.append((_KIND_MAP[kind], rot))
-    helper = Diagram(tgt, (), (), tuple(boxes), 0, ())
+
+    def image_end(e):
+        """The object an image endpoint presents and its flow role."""
+        if e[0] == "box":
+            return tgt.leg(*boxes[e[1]], e[2])
+        lab = _LABEL_MAP[(d.bottom if e[1] == "bottom" else d.top)[e[2]]]
+        return lab, boundary_flow(lab, e[1])
+
     strands = []
     for s in d.strands:
         lab = _LABEL_MAP[s.label]
@@ -127,21 +130,11 @@ def _image_diagram(d: Diagram, tgt: Theory) -> Diagram:
             continue
         # every strand acquires the orientation its image endpoints force:
         # bending the lower legs of the image box reverses their flow
-        ra = _image_role(d, helper, s.a)
-        rb = _image_role(d, helper, s.b)
-        if (ra, rb) == (SRC, SNK):
-            src, dir = s.a, +1
-        elif (ra, rb) == (SNK, SRC):
-            src, dir = s.b, -1
-        else:
+        (la, ra), (lb, rb) = image_end(s.a), image_end(s.b)
+        if not ra or ra != -rb:
             raise ValueError("diagram is not in the functor image")
         # the strand carries whatever object its source end presents
-        if src[0] == "box":
-            lab = helper.leg_label(src[1], src[2])
-        else:
-            word = d.bottom if src[1] == "bottom" else d.top
-            lab = _LABEL_MAP[word[src[2]]]
-        strands.append(Strand(s.a, s.b, lab, dir))
+        strands.append(Strand(s.a, s.b, la if ra == SRC else lb, ra))
     out = Diagram.make(tgt, [_LABEL_MAP[l] for l in d.bottom],
                        [_LABEL_MAP[l] for l in d.top],
                        boxes, strands, n_anchors=d.n_anchors)

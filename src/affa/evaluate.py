@@ -9,7 +9,8 @@ strands are reconnected across the pair (saddle relations, free), and the
 two boxes -- at that point an adjoint pair -- cancel by the unitary
 relation.  Free loops pop at factor one.  A box none of whose strands
 reach a second box kills its term.  The measure (live boxes, free loops)
-strictly decreases at every cancellation and pop, which is asserted.
+strictly decreases at every cancellation and pop, which is checked (an
+InvariantBreach otherwise, also under `python -O`).
 
 Diagrams of the two source categories are evaluated through their image
 in the oriented-strand theory; see `affa.equiv`.
@@ -22,6 +23,7 @@ from affa.diagram import Diagram, Morphism, Strand, bnd
 from affa.theory import (
     BoxKind,
     Family,
+    InvariantBreach,
     Label,
     ORIENTED_LABELS,
     Theory,
@@ -128,7 +130,8 @@ def _eval_term(d: Diagram) -> tuple[Cyclo, int]:
         for pos in range(k):
             leg = (rotA + pos) % k
             partner = conn.get((A, leg))
-            assert partner is not None, "dangling box leg in a closed diagram"
+            if partner is None:
+                raise InvariantBreach("dangling box leg in a closed diagram")
             if partner[0] != A:
                 legA = leg
                 break
@@ -142,9 +145,10 @@ def _eval_term(d: Diagram) -> tuple[Cyclo, int]:
         c, st = _click_to(th, boxes, B, legB, k - 1)
         scalar, steps = scalar * c, steps + st
         kindB, rotB = boxes[B]
-        assert leg_count(th, kindB) == k, "paired boxes of unequal size"
-        assert kindB is kind_adjoint(kindA), \
-            "evaluation paired two non-adjoint boxes"
+        if leg_count(th, kindB) != k:
+            raise InvariantBreach("paired boxes of unequal size")
+        if kindB is not kind_adjoint(kindA):
+            raise InvariantBreach("evaluation paired two non-adjoint boxes")
         p = len(box_signature(th, kindA)[0])
         q = k - p
         # saddle moves: force A's remaining lower legs onto B in order
@@ -173,14 +177,17 @@ def _eval_term(d: Diagram) -> tuple[Cyclo, int]:
         live.discard(B)
         steps += 1
         now = (len(live), nloops)
-        assert now < measure, "evaluation measure failed to decrease"
+        if not now < measure:
+            raise InvariantBreach("evaluation measure failed to decrease")
         measure = now
-    assert not conn, "leftover strands after eliminating all boxes"
+    if conn:
+        raise InvariantBreach("leftover strands after eliminating all boxes")
     # pop the free loops, one unit factor each
     steps += nloops
     while nloops:
         now = (0, nloops - 1)
-        assert now < measure, "evaluation measure failed to decrease"
+        if not now < measure:
+            raise InvariantBreach("evaluation measure failed to decrease")
         measure, nloops = now, nloops - 1
     return scalar, steps
 
@@ -237,7 +244,9 @@ def _planar_relations(th: Theory) -> list[tuple[str, Morphism, Morphism]]:
                      Morphism.generator(th, new_kind).scale(cost)))
         if new_kind is not kind:
             kind2, cost2 = click_rewrite(th, new_kind, +1)
-            assert kind2 is kind
+            if kind2 is not kind:
+                raise InvariantBreach(f"{kind.value} does not click back "
+                                      "to itself in two steps")
             rels.append((f"click-twice-{kind.value}",
                          g.click(2), g.scale(cost * cost2)))
     return rels

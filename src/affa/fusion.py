@@ -11,7 +11,11 @@ and swaps the roles of the two colors at odd positions.  Gram matrices
 are computed from exhaustive spanning sets: planar diagrams onto the
 word built from boundary-to-boundary arcs and generator boxes none of
 whose strands touch another box (box-to-box strands always cancel by the
-evaluation algorithm).
+evaluation algorithm).  A box is fitted to its slots by a match
+against the theory's leg table: its legs meet the slots in descending
+(clockwise) order, each leg's entry must fit the letter of its slot,
+and in shaded families a parity test on the rotation, the first leg and
+the first slot picks the canonical shading class (see `_realize_box`).
 """
 
 from __future__ import annotations
@@ -20,12 +24,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from affa.cyclotomic import Cyclo
-from affa.diagram import Diagram, Morphism, SNK, SRC, Strand, bnd, boxleg
+from affa.diagram import (
+    Diagram,
+    Morphism,
+    Strand,
+    bnd,
+    boxleg,
+    leg_to_boundary,
+)
 from affa.labeling import GroupElement
 from affa.theory import (
+    SRC,
+    InvariantBreach,
     Label,
-    ORIENTED_LABELS,
     Theory,
+    boundary_flow,
     dual_label,
     leg_count,
     plain_expansion,
@@ -166,7 +179,9 @@ def principal_graph(th: Theory, radius: int | None = None) -> FusionGraph:
         # equal to one the delta = 2 trace formula holds on the nose
         for i in range(len(elems)):
             deg = sum(m for a, b, m in edges if i in (a, b))
-            assert deg == 2, "principal graph is not an affine A cycle"
+            if deg != 2:
+                raise InvariantBreach(
+                    "principal graph is not an affine A cycle")
     words = tuple(Word(th, _element_labels(th, v)).display() for v in elems)
     return FusionGraph(words, (Fraction(1),) * len(elems), edges)
 
@@ -220,90 +235,60 @@ def trace_of_word(w: Word) -> Cyclo:
 
 # -- Gram matrices -----------------------------------------------------------
 
-def _top_role(label: Label) -> int:
-    sign = ORIENTED_LABELS.get(label)
-    if sign is None:
-        return 0
-    return SNK if sign > 0 else SRC
-
-
 def _arc_strand(word, i: int, j: int) -> Strand | None:
     li, lj = word[i], word[j]
-    if ORIENTED_LABELS.get(li) is None:
+    flow = boundary_flow(li, "top")
+    if not flow:
         if li != lj:
             return None
         return Strand(bnd("top", i), bnd("top", j), li, 0)
     if li != dual_label(lj):
         return None
-    if ORIENTED_LABELS[li] < 0:  # i is the emitting end
-        return Strand(bnd("top", i), bnd("top", j), li, +1)
-    return Strand(bnd("top", i), bnd("top", j), lj, -1)
-
-
-def _leg_strand(helper: Diagram, b: int, leg: int, word,
-                pos: int) -> Strand | None:
-    leg_lab = helper.leg_label(b, leg)
-    w = word[pos]
-    if ORIENTED_LABELS.get(w) is None:
-        if ORIENTED_LABELS.get(leg_lab) is not None or leg_lab != w:
-            return None
-        return Strand(boxleg(b, leg), bnd("top", pos), w, 0)
-    flow = helper.leg_flow(b, leg)
-    want = _top_role(w)
-    if flow == want or flow == 0:
-        return None
-    if flow == SRC:
-        return Strand(boxleg(b, leg), bnd("top", pos), leg_lab, +1)
-    return Strand(boxleg(b, leg), bnd("top", pos), w, -1)
+    # the strand carries the object at its emitting end
+    return Strand(bnd("top", i), bnd("top", j),
+                  li if flow == SRC else lj, flow)
 
 
 def _realize_box(th: Theory, word, slots, orbit, cache):
-    """One concrete (kind, rot, leg order) attaching a box of the given
-    click orbit to the slots, or None.  All realizations are proportional
-    by the click relations, so one representative spans their line; in
-    shaded families the representative of the canonical shading class is
-    picked.  The star-corner parity relative to the outer region depends
-    only on the slot positions (the gaps between legs are self-closed,
-    hence cross an even number of strands), so the choice is local."""
+    """One concrete (kind, rot, legs, strands) attaching a box of the
+    given click orbit to the slots, or None; `strands` holds the (label,
+    direction) of the strand from each leg to its slot.
+
+    Slot t takes leg (shift - t) % k: the slots run left to right, so
+    the legs meeting them run clockwise around the box.  A fit is the
+    first (kind, rot, shift), in that order, at which every leg's
+    leg-table entry fits the letter of its slot.  All fits are
+    proportional by the click relations, so one representative spans
+    their line.  In shaded families the fit must also lie in the
+    canonical shading class, the one leaving the outer region unshaded:
+    the star corner's region has checkerboard parity (shift - rot) % 2
+    relative to the region left of slot 0, and that region has parity
+    slots[0] % 2 relative to the outer one (walking along the boundary
+    crosses one strand per point), so the test is
+    (shift - rot) % 2 == star_parity(kind) ^ (slots[0] % 2).  The other
+    class spans the hom space of the oppositely shaded boundary object,
+    which shares the strand colours."""
     mini = tuple(word[s] for s in slots)
     ckey = (orbit[0], mini, slots[0] % 2)
-    if ckey in cache:
-        return cache[ckey]
-    k = len(slots)
-    found = None
+    if ckey not in cache:
+        cache[ckey] = _fit_box(th, mini, orbit, slots[0] % 2)
+    return cache[ckey]
+
+
+def _fit_box(th: Theory, mini, orbit, first_parity: int):
+    k = len(mini)
     for kind in orbit:
+        want = star_parity(kind) ^ first_parity
         for rot in range(k):
-            helper = Diagram(th, (), (), ((kind, rot),), 0, ())
             for shift in range(k):
-                for direction in (1, -1):
-                    legs = tuple((shift + direction * t) % k
-                                 for t in range(k))
-                    strands = [_leg_strand(helper, 0, leg, mini, t)
-                               for t, leg in enumerate(legs)]
-                    if any(s is None for s in strands):
-                        continue
-                    d = Diagram.make(th, [], list(mini), [(kind, rot)],
-                                     strands)
-                    if d.validate():
-                        continue
-                    if th.is_shaded():
-                        faces, face_of = d.face_index()
-                        parity = d._face_parities(faces, face_of)
-                        outer = face_of[bnd("top", k - 1)]
-                        star = face_of[d.star_face_endpoint(0)]
-                        want = star_parity(kind) ^ (slots[0] % 2)
-                        if parity[star] ^ parity[outer] != want:
-                            continue
-                    found = (kind, rot, legs)
-                    break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            break
-    cache[ckey] = found
-    return found
+                if th.is_shaded() and (shift - rot) % 2 != want:
+                    continue
+                legs = tuple((shift - t) % k for t in range(k))
+                ends = [leg_to_boundary(th, th.leg(kind, rot, leg), "top")
+                        for leg in legs]
+                if all(e[0] == w for e, w in zip(ends, mini)):
+                    return kind, rot, legs, tuple(e[1:] for e in ends)
+    return None
 
 
 def _placements(th: Theory, word, positions: tuple[int, ...],
@@ -334,8 +319,7 @@ def _placements(th: Theory, word, positions: tuple[int, ...],
             real = _realize_box(th, word, slots, orbit, cache)
             if real is None:
                 continue
-            kind, rot, legs = real
-            item = ("box", kind, rot, legs, slots)
+            item = ("box", *real, slots)
             for fills in _gap_products(th, word, assign["gaps"],
                                        budget - 1, cache):
                 used = sum(1 for it in fills if it[0] == "box")
@@ -370,25 +354,12 @@ def _gap_products(th: Theory, word, gaps, budget: int, cache):
             yield fill + more
 
 
-def _canonical_shading(d: Diagram) -> bool:
-    """True when every box shades the plane with the outermost boundary
-    region unshaded.  The rejected diagrams span the hom space of the
-    oppositely shaded boundary object, which shares the strand colors."""
-    faces, face_of = d.face_index()
-    parity = d._face_parities(faces, face_of)
-    outer = face_of[bnd("top", len(d.top) - 1)]
-    for b, (kind, _) in enumerate(d.boxes):
-        star = face_of[d.star_face_endpoint(b)]
-        if parity[star] ^ parity[outer] != star_parity(kind):
-            return False
-    return True
-
-
 def span_diagrams(th: Theory, word, max_boxes: int) -> list[Diagram]:
     """Spanning diagrams from nothing to the word whose boxes touch only
     the boundary: one representative per attachment topology (arcs, and
-    per box its click orbit and boundary slots).  In shaded families only
-    the representatives shading the outer region unshaded are kept."""
+    per box its click orbit and boundary slots).  In shaded families every
+    box is fitted in the canonical shading class, so each diagram leaves
+    the outer region unshaded."""
     word = tuple(word)
     results = []
     seen_keys = set()
@@ -400,34 +371,23 @@ def span_diagrams(th: Theory, word, max_boxes: int) -> list[Diagram]:
         key_boxes = []
         boxes = []
         strands = []
-        ok = True
         for item in placement:
             if item[0] == "arc":
                 key_arcs.append((item[1], item[2]))
                 strands.append(_arc_strand(word, item[1], item[2]))
                 continue
-            _, kind, rot, legs, slots = item
+            _, kind, rot, legs, ends, slots = item
             key_boxes.append((orbit[kind], slots))
             b = len(boxes)
             boxes.append((kind, rot))
-            helper = Diagram(th, (), (), ((kind, rot),), 0, ())
-            for leg, pos in zip(legs, slots):
-                s = _leg_strand(helper, 0, leg, word, pos)
-                if s is None:
-                    ok = False
-                    break
-                strands.append(Strand(boxleg(b, leg), s.b, s.label, s.dir))
-            if not ok:
-                break
-        if not ok:
-            continue
+            strands.extend(Strand(boxleg(b, leg), bnd("top", pos), lab, dir)
+                           for leg, pos, (lab, dir)
+                           in zip(legs, slots, ends))
         key = (tuple(sorted(key_arcs)), tuple(sorted(key_boxes)))
         if key in seen_keys:
             continue
         d = Diagram.make(th, [], list(word), boxes, strands)
         if d.validate():
-            continue
-        if d.boxes and th.is_shaded() and not _canonical_shading(d):
             continue
         seen_keys.add(key)
         results.append(d)
@@ -518,5 +478,6 @@ def gram_matrix(w: Word, max_boxes: int) -> GramResult:
     grid = tuple(tuple(row) for row in matrix)
     for i in range(n):
         for j in range(n):
-            assert grid[i][j] == grid[j][i].conj(), "Gram not Hermitian"
+            if grid[i][j] != grid[j][i].conj():
+                raise InvariantBreach("Gram not Hermitian")
     return GramResult(grid, _rank(grid), _is_psd(grid), n)

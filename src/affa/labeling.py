@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 from affa.cyclotomic import Cyclo
 from affa.diagram import Diagram, Morphism
-from affa.theory import BoxKind, Label, ORIENTED_LABELS, Theory
+from affa.theory import (
+    BoxKind,
+    InvariantBreach,
+    Label,
+    ORIENTED_LABELS,
+    Theory,
+)
 
 # Crossing an oriented strand from its left face to its right face (facing
 # along the arrow) multiplies by u**ARROW_CROSS_EXP; the left face is the
@@ -125,7 +131,7 @@ def _crossing(theory: Theory, s, face_of,
     """(from_face, to_face, right multiplier) entries for one strand."""
     fa, fb = face_of[s.a], face_of[s.b]
     if fa == fb:
-        raise AssertionError("strand with one face on both sides")
+        raise InvariantBreach("strand with one face on both sides")
     if s.dir:
         src = s.a if s.dir == +1 else s.b
         # Free loops are canonicalized to dir +1 with the circulation kept
@@ -178,7 +184,7 @@ def label_regions(d: Diagram, start_face: int | None = None) -> RegionLabeling:
                     labels[g] = want
                     queue.append(g)
                 elif labels[g] != want:
-                    raise AssertionError(
+                    raise InvariantBreach(
                         "inconsistent region labeling: planarity bug")
     return RegionLabeling(tuple(tuple(f) for f in faces), labels)
 
@@ -193,6 +199,17 @@ def _box_ell(g: GroupElement, kind: BoxKind) -> int:
     return -g.rot if kind is BoxKind.U else g.rot
 
 
+def term_exponent(d: Diagram) -> tuple[RegionLabeling, int]:
+    """The region labeling of a closed diagram with boxes and no plain
+    strands, and the exponent of the root it evaluates to: the sum of
+    its box star-region integers, reduced mod the group order."""
+    lab = label_regions(d)
+    _, face_of = d.face_index()
+    ell = sum(_box_ell(lab.labels[face_of[d.star_face_endpoint(b)]], kind)
+              for b, (kind, _) in enumerate(d.boxes))
+    return lab, ell % d.theory.group_order()
+
+
 def invariant(m: Morphism) -> Cyclo:
     """The closed-diagram invariant: per term, the declared root raised to
     the sum of the box star-region integers, weighted by coefficients."""
@@ -204,12 +221,5 @@ def invariant(m: Morphism) -> Cyclo:
         if not d.boxes:
             total = total + c
             continue
-        lab = label_regions(d)
-        _, face_of = d.face_index()
-        ell = 0
-        for b, (kind, _) in enumerate(d.boxes):
-            g = lab.labels[face_of[d.star_face_endpoint(b)]]
-            ell += _box_ell(g, kind)
-        ell %= m.theory.group_order()
-        total = total + c * m.theory.root() ** ell
+        total = total + c * m.theory.root() ** term_exponent(d)[1]
     return total

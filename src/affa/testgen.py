@@ -10,7 +10,13 @@ from __future__ import annotations
 import random
 
 from affa.diagram import Diagram, Morphism
-from affa.theory import Label, Theory, alphabet, box_kinds, leg_count
+from affa.theory import (
+    InvariantBreach,
+    Theory,
+    alphabet,
+    box_kinds,
+    leg_count,
+)
 
 
 def random_closed(theory: Theory, max_boxes: int, max_loops: int,
@@ -67,5 +73,7 @@ def _try_draw(theory: Theory, max_boxes: int, max_loops: int,
         closed = closed.tensor(Morphism.loop(theory,
                                              rng.choice(loop_labels)))
     (d,) = closed.terms
-    assert d.validate() == []
+    errors = d.validate()
+    if errors:
+        raise InvariantBreach("drew an invalid diagram: " + "; ".join(errors))
     return d

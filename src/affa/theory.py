@@ -59,6 +59,15 @@ class BoxKind(enum.Enum):
 # Labels carrying an orientation, with their "upward flow" sign.
 ORIENTED_LABELS = {Label.UP: +1, Label.DOWN: -1, Label.PLUS: +1, Label.MINUS: -1}
 
+# The flow role of a strand end: the flow starts (SRC) or ends (SNK) there.
+SRC, SNK = +1, -1
+
+
+class InvariantBreach(AssertionError):
+    """An internal invariant of the engine failed.  Raised explicitly, so
+    the checks also run under `python -O`."""
+
+
 Signature = tuple[tuple[Label, ...], tuple[Label, ...]]
 
 
@@ -242,6 +251,25 @@ class Theory:
             out[kind] = ((bot, top), bot + top[::-1])
         return out
 
+    @cached_property
+    def leg_table(self) -> dict[BoxKind, tuple[tuple[Label, int], ...]]:
+        """Per box kind, per leg in ccw cyclic order: the object the leg
+        presents and its flow (SRC out of the box, SNK into it, 0 when
+        unoriented).  A strand meets a bottom leg from below, as it meets
+        a top boundary point, and a top leg from above."""
+        table = {}
+        for kind, ((bot, _), cyc) in self._boxes.items():
+            table[kind] = tuple(
+                (lab, boundary_flow(lab, "top" if c < len(bot) else "bottom"))
+                for c, lab in enumerate(cyc))
+        return table
+
+    def leg(self, kind: BoxKind, rot: int, leg: int) -> tuple[Label, int]:
+        """The leg table's entry for physical leg `leg` of a box at
+        rotation offset `rot`."""
+        legs = self.leg_table[kind]
+        return legs[(leg - rot) % len(legs)]
+
     def root_bound(self) -> int:
         """The group order the root must divide (n, 2n, 2n+1, or m)."""
         if self.spec.root_bound is None:
@@ -318,7 +346,7 @@ class Theory:
                              "root an object")
         try:
             order, exp = int(root.get("order", 1)), int(root.get("exp", 0))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed theory root: {exc}") from None
         return Theory(fam, n, order, exp)
 
@@ -338,6 +366,23 @@ def alphabet(theory: Theory) -> frozenset[Label]:
 def plain_expansion(theory: Theory) -> tuple[Label, Label]:
     """The two labeled variants a Plain strand decomposes into."""
     return theory.spec.plain
+
+
+def boundary_flow(label: Label, side: str) -> int:
+    """The flow role a label demands at a bottom or top boundary point:
+    an upward label leaves the bottom and arrives at the top; 0 when
+    unoriented."""
+    sign = ORIENTED_LABELS.get(label)
+    if sign is None:
+        return 0
+    return SRC if (sign > 0) == (side == "bottom") else SNK
+
+
+def boundary_object(theory: Theory, side: str, role: int) -> Label:
+    """The strand generator whose flow at a `side` boundary point is
+    `role`."""
+    up, down = theory.spec.plain
+    return up if boundary_flow(up, side) == role else down
 
 
 def dual_label(label: Label) -> Label:

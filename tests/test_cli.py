@@ -44,19 +44,37 @@ def test_unknown_flag_is_an_input_error():
 GOOD_LINE = json.loads(Morphism.loop(AR1, Label.PLAIN).serialize())
 
 
-def _zero_order_coeff() -> str:
+def _bad_line(edit) -> str:
+    """GOOD_LINE after `edit`, with every "BIG" written as the JSON number
+    1e400 (which parses to an infinite float)."""
     doc = json.loads(json.dumps(GOOD_LINE))
-    doc["terms"][0]["coeff"] = {"order": 0, "coeffs": ["1"]}
-    return json.dumps(doc)
+    edit(doc)
+    return json.dumps(doc).replace('"BIG"', "1e400")
+
+
+def _term(**fields):
+    return lambda doc: doc["terms"][0].update(fields)
+
+
+def _anchor_end(doc):
+    doc["terms"][0]["strands"][0]["a"]["anchor"] = "BIG"
 
 
 @pytest.mark.parametrize("bad", [
     "{bad",
     json.dumps(dict(GOOD_LINE, terms=5)),
-    _zero_order_coeff(),
+    _bad_line(_term(coeff={"order": 0, "coeffs": ["1"]})),
     json.dumps(dict(GOOD_LINE, theory=dict(GOOD_LINE["theory"], root=5))),
+    _bad_line(_term(anchors=[1])),
+    _bad_line(_term(anchors=None)),
+    _bad_line(_anchor_end),
+    _bad_line(_term(coeff={"order": 1, "coeffs": ["BIG"]})),
+    _bad_line(_term(coeff={"order": "BIG", "coeffs": ["1"]})),
+    _bad_line(lambda doc: doc["theory"].update(root={"order": "BIG"})),
 ], ids=["bad-json", "terms-not-a-list", "coeff-order-zero",
-        "theory-root-not-an-object"])
+        "theory-root-not-an-object", "anchors-a-list", "anchors-null",
+        "endpoint-anchor-overflows", "coeff-overflows",
+        "coeff-order-overflows", "theory-root-order-overflows"])
 def test_eval_batch_ordered_and_reports_errors(tmp_path, bad):
     good = json.dumps(GOOD_LINE)
     lines = [good, bad, good]

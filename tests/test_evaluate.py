@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,3 +174,27 @@ def test_step_count_reported():
     val, steps = eval_with_steps(m)
     assert val == Cyclo.from_fraction(2)
     assert steps >= 1
+
+
+def test_invariant_checks_run_under_python_O():
+    # with kind_adjoint patched to the identity the evaluator pairs U with
+    # U*, and must say so even when `python -O` strips plain asserts
+    import affa
+    script = (
+        "import sys\n"
+        "import affa.evaluate as ev\n"
+        "from affa.diagram import Morphism\n"
+        "from affa.theory import BoxKind, Family, InvariantBreach, Theory\n"
+        "ev.kind_adjoint = lambda kind: kind\n"
+        "u = Morphism.generator(Theory(Family.ARROW_AODD, 2, 4, 1),"
+        " BoxKind.U)\n"
+        "try:\n"
+        "    ev.inner_product(u, u)\n"
+        "except InvariantBreach as exc:\n"
+        "    print(sys.flags.optimize, exc)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(affa.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "1 evaluation paired two non-adjoint boxes\n"

@@ -1,4 +1,8 @@
+import hashlib
+import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +21,7 @@ from affa.fusion import (
     trace_of_word,
 )
 from affa.labeling import GroupElement
-from affa.theory import Family, Label, Theory
+from affa.theory import Family, Label, Theory, rooted_theories
 
 
 SH1 = Theory(Family.SHADED_AODD, 1, 1, 0)
@@ -170,3 +174,58 @@ def test_gram_rank_equals_hom_dim(bits, th):
     res = gram_matrix(Word(th, word), max_boxes=len(word) // 2)
     assert res.rank == hom_dim(Word(th, ()), Word(th, word))
     assert res.psd
+
+
+SPAN_DIGESTS = Path(__file__).parent / "data" / "span_digests.json"
+
+
+def span_digest(th: Theory) -> str:
+    """sha256 over the JSON of every spanning diagram of every word of
+    length <= 5 in the theory's two strand generators."""
+    h = hashlib.sha256()
+    for length in range(6):
+        for word in itertools.product(th.spec.plain, repeat=length):
+            for d in span_diagrams(th, word, length // 2):
+                h.update(json.dumps(d.to_json(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_spanning_sets_match_recorded_digests():
+    recorded = json.loads(SPAN_DIGESTS.read_text())
+    theories = rooted_theories(3)
+    assert [r["theory"] for r in recorded] == [th.to_json() for th in theories]
+    got = [span_digest(th) for th in theories]
+    changed = [r["theory"] for r, g in zip(recorded, got) if r["sha256"] != g]
+    assert not changed
+
+
+def test_shading_parity_rule_matches_face_parities():
+    # span_diagrams picks a box's shading class by arithmetic: with legs
+    # meeting slots 0..k-1 in descending order from `shift`, the star
+    # corner's region has parity (shift - rot) % 2 relative to the outer
+    # region; check that against the 2-colouring of the faces
+    from affa.diagram import Diagram, Strand, bnd, boxleg, leg_to_boundary
+    from affa.theory import leg_count
+    shaded = [th for th in rooted_theories(4)
+              if th.is_shaded() and th.root_order == 1]
+    assert [th.n for th in shaded] == [1, 2, 3, 4]
+    for th in shaded:
+        for kind in th.spec.kinds:
+            k = leg_count(th, kind)
+            for rot in range(k):
+                for shift in range(k):
+                    legs = [(shift - t) % k for t in range(k)]
+                    ends = [leg_to_boundary(th, th.leg(kind, rot, leg),
+                                            "top") for leg in legs]
+                    strands = [Strand(boxleg(0, leg), bnd("top", t),
+                                      lab, dir)
+                               for t, (leg, (_, lab, dir))
+                               in enumerate(zip(legs, ends))]
+                    d = Diagram.make(th, [], [e[0] for e in ends],
+                                     [(kind, rot)], strands)
+                    assert d.validate() == []
+                    faces, face_of = d.face_index()
+                    parity = d._face_parities(faces, face_of)
+                    star = parity[face_of[d.star_face_endpoint(0)]]
+                    outer = parity[face_of[bnd("top", k - 1)]]
+                    assert star ^ outer == (shift - rot) % 2
