@@ -83,26 +83,31 @@ def _eval_one(line: str):
 def _eval_batch(args) -> int:
     with (sys.stdin if args.batch == "-" else open(args.batch)) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    failed = False
+    failed = breached = False
     rows = []
     for i, line in enumerate(lines):
         row = {"index": i}
         try:
             row.update(_eval_one(line))
+        except AssertionError as exc:
+            row["error"] = f"internal invariant breach: {exc}"
+            breached = True
         except (ValueError, KeyError) as exc:
             row["error"] = str(exc)
             failed = True
         rows.append(row)
     out = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
     _emit(args, out)
-    return 1 if failed else 0
+    return 3 if breached else 1 if failed else 0
 
 
 def _cmd_label(args) -> int:
     from affa.labeling import invariant, term_exponent
     m = _read_morphism(args.infile)
-    value = invariant(m)
     expanded = sorted(m.expand_plain().terms, key=repr)
+    if not expanded:
+        raise ValueError("label needs a nonzero morphism")
+    value = invariant(m)
     d = expanded[0]
     if d.boxes:
         lab, ell = term_exponent(d)

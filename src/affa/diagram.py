@@ -17,6 +17,15 @@ boundary, Down/Minus downward.  A strand's `dir` is +1 when the flow
 runs from endpoint `a` to endpoint `b`, -1 the other way, 0 when the
 label is unoriented.  The serialized label of an oriented strand is the
 object presented at its source endpoint.
+
+Compose and trace closure are one operation, a splice (`_splice`): the
+boundary points to be joined are paired, and the strands through each
+pair become one.  Composing a after b moves b's top points past a's top
+and a's bottom points past b's bottom, then pairs b's top point i with
+a's bottom point i; trace closure pairs bottom point i with top point i.
+A walk between two kept endpoints becomes one strand; a closed walk
+becomes a free loop on a new anchor.  A Morphism sums the coefficients
+of repeated diagrams itself, so each operation just lists its terms.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from affa.cyclotomic import Cyclo
 from affa.theory import (
@@ -64,12 +74,7 @@ def anchor(a: int, s: int) -> Endpoint:
 def _ep_key(e: Endpoint):
     if e[0] == "bnd":
         return (0 if e[1] == "bottom" else 3, 0, e[2])
-    if e[0] == "box":
-        return (1, e[1], e[2])
-    if e[0] == "anchor":
-        return (2, e[1], e[2])
-    # transient interface nodes used while gluing
-    return (4, 0 if e[1] in ("b", "bot") else 1, e[2])
+    return (1 if e[0] == "box" else 2, e[1], e[2])
 
 
 @dataclass(frozen=True)
@@ -207,6 +212,18 @@ def leg_to_boundary(theory: Theory, leg: tuple[Label, int],
         return lab, lab, 0
     letter = boundary_object(theory, side, -flow)
     return letter, (lab if flow == SRC else letter), flow
+
+
+def boundary_arc(side: str, word: Sequence[Label], i: int,
+                 j: int) -> Strand | None:
+    """The arc joining points i and j of a `side` boundary word, or None
+    unless their letters are dual; an oriented arc carries the object at
+    the point it flows out of."""
+    if word[i] != dual_label(word[j]):
+        return None
+    flow = boundary_flow(word[i], side)
+    return Strand(bnd(side, i), bnd(side, j),
+                  word[i] if flow == SRC else word[j], flow)
 
 
 @dataclass(frozen=True)
@@ -578,12 +595,13 @@ class Morphism:
 
     def __init__(self, theory: Theory, bottom: Sequence[Label],
                  top: Sequence[Label],
-                 terms: Mapping[Diagram, Cyclo] | None = None):
+                 terms: Iterable[tuple[Diagram, Cyclo]] = ()):
+        """Sums the coefficients of repeated diagrams and drops zeros."""
         self.theory = theory
         self.bottom = tuple(bottom)
         self.top = tuple(top)
         clean: dict[Diagram, Cyclo] = {}
-        for d, c in (terms or {}).items():
+        for d, c in terms:
             if (d.theory, d.bottom, d.top) != (theory, self.bottom, self.top):
                 raise ValueError("term boundary does not match morphism")
             if not c.is_zero():
@@ -594,12 +612,12 @@ class Morphism:
     @staticmethod
     def zero(theory: Theory, bottom: Sequence[Label],
              top: Sequence[Label]) -> "Morphism":
-        return Morphism(theory, bottom, top, {})
+        return Morphism(theory, bottom, top)
 
     @staticmethod
     def from_diagram(d: Diagram, coeff: Cyclo | None = None) -> "Morphism":
         c = coeff if coeff is not None else Cyclo.one()
-        return Morphism(d.theory, d.bottom, d.top, {d: c})
+        return Morphism(d.theory, d.bottom, d.top, ((d, c),))
 
     @staticmethod
     def identity(theory: Theory, word: Sequence[Label]) -> "Morphism":
@@ -632,33 +650,15 @@ class Morphism:
     def cup(theory: Theory, label: Label) -> "Morphism":
         """The arc from nothing to [label, dual(label)]; for unoriented
         labels both new points carry `label`."""
-        sign = ORIENTED_LABELS.get(label)
-        if sign is None:
-            s = Strand(bnd("top", 0), bnd("top", 1), label, 0)
-            word = [label, label]
-        elif sign > 0:
-            # flow enters at the right (downward) end and exits at the left
-            s = Strand(bnd("top", 0), bnd("top", 1), dual_label(label), -1)
-            word = [label, dual_label(label)]
-        else:
-            s = Strand(bnd("top", 0), bnd("top", 1), label, +1)
-            word = [label, dual_label(label)]
+        word = [label, dual_label(label)]
+        s = boundary_arc("top", word, 0, 1)
         return Morphism.from_diagram(Diagram.make(theory, [], word, [], [s]))
 
     @staticmethod
     def cap(theory: Theory, label: Label) -> "Morphism":
         """The arc from [label, dual(label)] to nothing."""
-        sign = ORIENTED_LABELS.get(label)
-        if sign is None:
-            s = Strand(bnd("bottom", 0), bnd("bottom", 1), label, 0)
-            word = [label, label]
-        elif sign > 0:
-            s = Strand(bnd("bottom", 0), bnd("bottom", 1), label, +1)
-            word = [label, dual_label(label)]
-        else:
-            s = Strand(bnd("bottom", 0), bnd("bottom", 1),
-                       dual_label(label), -1)
-            word = [label, dual_label(label)]
+        word = [label, dual_label(label)]
+        s = boundary_arc("bottom", word, 0, 1)
         return Morphism.from_diagram(Diagram.make(theory, word, [], [], [s]))
 
     @staticmethod
@@ -677,10 +677,8 @@ class Morphism:
 
     def __add__(self, other: "Morphism") -> "Morphism":
         self._check_same_boundary(other)
-        terms = dict(self.terms)
-        for d, c in other.terms.items():
-            terms[d] = terms[d] + c if d in terms else c
-        return Morphism(self.theory, self.bottom, self.top, terms)
+        return Morphism(self.theory, self.bottom, self.top,
+                        chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "Morphism") -> "Morphism":
         return self + other.scale(-1)
@@ -689,7 +687,7 @@ class Morphism:
         if not isinstance(c, Cyclo):
             c = Cyclo.from_fraction(c)
         return Morphism(self.theory, self.bottom, self.top,
-                        {d: x * c for d, x in self.terms.items()})
+                        ((d, x * c) for d, x in self.terms.items()))
 
     def __rmul__(self, c) -> "Morphism":
         return self.scale(c)
@@ -718,14 +716,11 @@ class Morphism:
     def tensor(self, other: "Morphism") -> "Morphism":
         if self.theory != other.theory:
             raise ValueError("theory mismatch in tensor")
-        out: dict[Diagram, Cyclo] = {}
-        for da, ca in self.terms.items():
-            for db, cb in other.terms.items():
-                d = _tensor_diagrams(da, db)
-                c = ca * cb
-                out[d] = out[d] + c if d in out else c
         return Morphism(self.theory, self.bottom + other.bottom,
-                        self.top + other.top, out)
+                        self.top + other.top,
+                        ((_tensor_diagrams(da, db), ca * cb)
+                         for da, ca in self.terms.items()
+                         for db, cb in other.terms.items()))
 
     def compose(self, other: "Morphism") -> "Morphism":
         """self after other: glue other's top to self's bottom."""
@@ -733,34 +728,25 @@ class Morphism:
             raise ValueError("theory mismatch in compose")
         if len(self.bottom) != len(other.top):
             raise ValueError("compose length mismatch")
-        out: dict[Diagram, Cyclo] = {}
-        for da, ca in self.terms.items():
-            for db, cb in other.terms.items():
-                d = _glue(da, db)
-                if d is None:
-                    continue
-                c = ca * cb
-                out[d] = out[d] + c if d in out else c
-        return Morphism(self.theory, other.bottom, self.top, out)
+        return Morphism(self.theory, other.bottom, self.top,
+                        ((d, ca * cb)
+                         for da, ca in self.terms.items()
+                         for db, cb in other.terms.items()
+                         if (d := _glue(da, db)) is not None))
 
     def adjoint(self) -> "Morphism":
-        out: dict[Diagram, Cyclo] = {}
-        for d, c in self.terms.items():
-            da = _adjoint_diagram(d)
-            cc = c.conj()
-            out[da] = out[da] + cc if da in out else cc
-        return Morphism(self.theory, self.top, self.bottom, out)
+        return Morphism(self.theory, self.top, self.bottom,
+                        ((_adjoint_diagram(d), c.conj())
+                         for d, c in self.terms.items()))
 
     def click(self, steps: int) -> "Morphism":
         m = self
         step = 1 if steps >= 0 else -1
         for _ in range(abs(steps)):
             newb, newt, _ = _click_boundary(m.bottom, m.top, step)
-            out: dict[Diagram, Cyclo] = {}
-            for d, c in m.terms.items():
-                dd = _click_diagram(d, step)
-                out[dd] = out[dd] + c if dd in out else c
-            m = Morphism(m.theory, newb, newt, out)
+            m = Morphism(m.theory, newb, newt,
+                         ((_click_diagram(d, step), c)
+                          for d, c in m.terms.items()))
         return m
 
     def trace_close(self, side: str = "right") -> "Morphism":
@@ -771,20 +757,14 @@ class Morphism:
         # On the sphere the two closures are isotopic, and the engine works
         # with sphere maps (these theories are spherical), so both sides
         # yield the same combinatorial map.
-        out: dict[Diagram, Cyclo] = {}
-        for d, c in self.terms.items():
-            dd = _trace_diagram(d)
-            if dd is None:
-                continue
-            out[dd] = out[dd] + c if dd in out else c
-        return Morphism(self.theory, [], [], out)
+        return Morphism(self.theory, [], [],
+                        ((dd, c) for d, c in self.terms.items()
+                         if (dd := _trace_diagram(d)) is not None))
 
     def expand_plain(self) -> "Morphism":
-        out: dict[Diagram, Cyclo] = {}
-        for d, c in self.terms.items():
-            for dd in _expand_plain_diagram(d):
-                out[dd] = out[dd] + c if dd in out else c
-        return Morphism(self.theory, self.bottom, self.top, out)
+        return Morphism(self.theory, self.bottom, self.top,
+                        ((dd, c) for d, c in self.terms.items()
+                         for dd in _expand_plain_diagram(d)))
 
     # -- serialization -----------------------------------------------------
     def serialize(self) -> bytes:
@@ -811,22 +791,22 @@ class Morphism:
             top = [Label(x) for x in doc.get("top", [])]
         except ValueError as exc:
             raise ValueError(f"bad boundary label: {exc}") from None
-        terms: dict[Diagram, Cyclo] = {}
-        if not isinstance(doc.get("terms", []), list):
+        terms = doc.get("terms", [])
+        if not isinstance(terms, list):
             raise ValueError("terms must be a list")
-        for t in doc.get("terms", []):
-            d = Diagram.from_json(t)
-            c = Cyclo.from_json(t.get("coeff", {"order": 1, "coeffs": ["1"]}))
-            terms[d] = terms[d] + c if d in terms else c
-        return Morphism(th, bottom, top, terms)
+        one = {"order": 1, "coeffs": ["1"]}
+        return Morphism(th, bottom, top,
+                        ((Diagram.from_json(t),
+                          Cyclo.from_json(t.get("coeff", one)))
+                         for t in terms))
 
 
 # ---------------------------------------------------------------------------
 # diagram-level operation internals
 # ---------------------------------------------------------------------------
 
-def _offset_endpoint(e: Endpoint, dbox: int, danchor: int,
-                     dbot: int = 0, dtop: int = 0) -> Endpoint:
+def _offset_endpoint(e: Endpoint, dbox: int, danchor: int, dbot: int,
+                     dtop: int) -> Endpoint:
     if e[0] == "box":
         return boxleg(e[1] + dbox, e[2])
     if e[0] == "anchor":
@@ -836,154 +816,99 @@ def _offset_endpoint(e: Endpoint, dbox: int, danchor: int,
     return bnd("top", e[2] + dtop)
 
 
+def _offset_strand(s: Strand, dbox: int, danchor: int, dbot: int,
+                   dtop: int) -> Strand:
+    return Strand(_offset_endpoint(s.a, dbox, danchor, dbot, dtop),
+                  _offset_endpoint(s.b, dbox, danchor, dbot, dtop),
+                  s.label, s.dir)
+
+
 def _tensor_diagrams(a: Diagram, b: Diagram) -> Diagram:
     strands = list(a.strands)
-    for s in b.strands:
-        strands.append(Strand(
-            _offset_endpoint(s.a, len(a.boxes), a.n_anchors,
-                             len(a.bottom), len(a.top)),
-            _offset_endpoint(s.b, len(a.boxes), a.n_anchors,
-                             len(a.bottom), len(a.top)),
-            s.label, s.dir))
+    strands += [_offset_strand(s, len(a.boxes), a.n_anchors, len(a.bottom),
+                               len(a.top)) for s in b.strands]
     return Diagram.make(a.theory, a.bottom + b.bottom, a.top + b.top,
                         a.boxes + b.boxes, strands,
                         a.n_anchors + b.n_anchors)
 
 
-class _Chains:
-    """Splices strands across a set of interface links; shared by compose
-    and trace closure.  Produces None (the zero term) on label or flow
-    disagreement along any chain."""
+def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
+            boxes: Sequence[tuple[BoxKind, int]], strands: Sequence[Strand],
+            n_anchors: int,
+            pairs: Sequence[tuple[Endpoint, Endpoint]]) -> Diagram | None:
+    """Join strands through each pair of boundary points, which leave the
+    boundary; the other endpoints keep their names.  A walk between two
+    kept endpoints becomes one strand, a closed walk a new anchor loop.
+    None (the zero term) on a label or flow disagreement along a walk or
+    a checkerboard clash in the result."""
+    link: dict[Endpoint, Endpoint] = {}
+    for x, y in pairs:
+        link[x], link[y] = y, x
+    at: dict[Endpoint, Strand] = {}
+    for s in strands:
+        at[s.a] = at[s.b] = s
+    done: set[int] = set()
 
-    def __init__(self, strands: list[Strand],
-                 links: dict[Endpoint, Endpoint],
-                 obj_at: Callable[[Endpoint, int], Label | None],
-                 upward_role: dict[Endpoint, int],
-                 up_down: tuple[Label, Label]):
-        self.emap: dict[Endpoint, Strand] = {}
-        for s in strands:
-            self.emap[s.a] = s
-            self.emap[s.b] = s
-        self.links = links
-        self.obj_at = obj_at
-        # per link endpoint: the flow role there that means "object flows
-        # toward the upper side of the cut" (fixes loop orientation labels)
-        self.upward_role = upward_role
-        self.up_down = up_down
-
-    def run(self) -> tuple[list[Strand], list[tuple[Label, int]]] | None:
-        done: set[int] = set()
-        out: list[Strand] = []
-        loops: list[tuple[Label, int]] = []
-        for e0 in sorted(self.emap, key=_ep_key):
-            if e0 in self.links or id(self.emap[e0]) in done:
-                continue
-            s0 = self.emap[e0]
-            if s0.other(e0) not in self.links:
-                # untouched strand (including anchor loops): keep verbatim
-                done.add(id(s0))
-                out.append(s0)
-                continue
-            chain = self._walk(e0, done)
-            merged = self._merge_open(chain, e0, chain[-1][2])
-            if merged is None:
-                return None
-            out.append(merged)
-        for e0 in sorted(self.links, key=_ep_key):
-            if e0 not in self.emap or id(self.emap[e0]) in done:
-                continue
-            chain = self._walk(e0, done)
-            lab_dir = self._merge_loop(chain)
-            if lab_dir is None:
-                return None
-            loops.append(lab_dir)
-        return out, loops
-
-    def _walk(self, e0: Endpoint, done: set[int]):
-        """Traverse from e0; yields [(strand, enter, exit)] until a real
-        endpoint (open chain) or until the chain returns to its start."""
-        chain = []
-        e = e0
-        while True:
-            s = self.emap[e]
-            if id(s) in done:
-                return chain
+    def walk(e: Endpoint):
+        """Follow strands from e to a kept endpoint, or back to e (end
+        None): (end, unoriented label, flow along the walk, the first
+        oriented strand's (entry, flow)), or None on a disagreement."""
+        label, flow, first = None, 0, None
+        while id(at[e]) not in done:
+            s = at[e]
             done.add(id(s))
-            exit_ep = s.other(e)
-            chain.append((s, e, exit_ep))
-            if exit_ep not in self.links:
-                return chain
-            e = self.links[exit_ep]
-
-    @staticmethod
-    def _chain_flow_label(chain):
-        """(unoriented concrete label or None, flow in {+1,0,-1} measured
-        along traversal order); None result = inconsistent chain."""
-        label = None
-        flow = 0
-        for s, enter, _exit in chain:
-            if s.label is Label.PLAIN:
-                continue
             if s.dir:
-                f = +1 if s.flow_at(enter) == SRC else -1
+                f = s.flow_at(e)
                 if flow and flow != f:
                     return None
-                flow = f
-            else:
-                if label is not None and label != s.label:
+                flow, first = f, first or (e, f)
+            elif s.label is not Label.PLAIN:
+                if label not in (None, s.label):
                     return None
                 label = s.label
-        return label, flow
+            x = s.other(e)
+            if x not in link:
+                return x, label, flow, first
+            e = link[x]
+        return None, label, flow, first
 
-    def _merge_open(self, chain, a: Endpoint, b: Endpoint) -> Strand | None:
-        got = self._chain_flow_label(chain)
+    out: list[Strand] = []
+    for s in strands:
+        if s.a not in link and s.b not in link:
+            out.append(s)
+            continue
+        if id(s) in done or (s.a in link and s.b in link):
+            continue
+        e = s.b if s.a in link else s.a
+        got = walk(e)
         if got is None:
             return None
-        label, flow = got
+        end, label, flow, _ = got
         if flow:
-            src = a if flow == +1 else b
-            obj = self.obj_at(src, SRC)
-            return Strand(a, b, obj, flow)
-        if label is None:
-            return Strand(a, b, Label.PLAIN, 0)
-        return Strand(a, b, label, 0)
-
-    def _merge_loop(self, chain):
-        got = self._chain_flow_label(chain)
+            src = e if flow == SRC else end
+            out.append(Strand(e, end, _object_at(theory, boxes, src, SRC),
+                              flow))
+        else:
+            out.append(Strand(e, end, label or Label.PLAIN, 0))
+    up, down = plain_expansion(theory)
+    na = n_anchors
+    for x, _ in pairs:
+        if id(at[x]) in done:
+            continue
+        got = walk(x)
         if got is None:
             return None
-        label, flow = got
+        _, label, flow, first = got
         if flow:
-            # label the loop by the object crossing the first oriented cut
-            up, down = self.up_down
-            for s, enter, _exit in chain:
-                if s.dir:
-                    upward = s.flow_at(enter) == self.upward_role[enter]
-                    return (up if upward else down, +1)
-        if label is None:
-            return (Label.PLAIN, 0)
-        return (label, 0)
-
-
-def _close_chains(theory: Theory, boxes, strands, links, bottom, top,
-                  base_anchors: int,
-                  upward_role: dict[Endpoint, int]) -> Diagram | None:
-    """Run chain splicing and assemble the result; None = zero term."""
-
-    def obj_at(e: Endpoint, role: int) -> Label | None:
-        return _object_at(theory, boxes, e, role)
-
-    got = _Chains(strands, links, obj_at, upward_role,
-                  plain_expansion(theory)).run()
-    if got is None:
-        return None
-    merged, loops = got
-    na = base_anchors
-    final = list(merged)
-    for lab, dir in loops:
-        final.append(Strand(anchor(na, 0), anchor(na, 1), lab, dir))
+            # a loop is named by its first oriented strand: `up` when that
+            # strand flows at its entry as an up strand would there
+            entry, f = first
+            lab, dir = (up if f == boundary_flow(up, entry[1]) else down), +1
+        else:
+            lab, dir = label or Label.PLAIN, 0
+        out.append(Strand(anchor(na, 0), anchor(na, 1), lab, dir))
         na += 1
-    d = Diagram.make(theory, bottom, top, boxes, final, na)
+    d = Diagram.make(theory, bottom, top, boxes, out, na)
     if theory.is_shaded() and d.boxes:
         faces, face_of = d.face_index()
         if not d._shading_consistent(faces, face_of):
@@ -992,56 +917,26 @@ def _close_chains(theory: Theory, boxes, strands, links, bottom, top,
 
 
 def _glue(a: Diagram, b: Diagram) -> Diagram | None:
-    """a after b (b's top glued to a's bottom); None = zero term."""
-    n = len(b.top)
-    for i in range(n):
-        lb, la = b.top[i], a.bottom[i]
+    """a after b (b's top glued to a's bottom); None = zero term.  b's top
+    points move past a's top and a's bottom points past b's bottom, and
+    each moved pair is spliced."""
+    for lb, la in zip(b.top, a.bottom):
         if lb is not Label.PLAIN and la is not Label.PLAIN and lb != la:
             return None
-    dbox, danchor = len(b.boxes), b.n_anchors
-
-    def from_b(e):
-        if e[0] == "bnd" and e[1] == "top":
-            return ("ifc", "b", e[2])
-        return e
-
-    def from_a(e):
-        if e[0] == "bnd":
-            return ("ifc", "t", e[2]) if e[1] == "bottom" else e
-        return _offset_endpoint(e, dbox, danchor)
-
-    strands = [Strand(from_b(s.a), from_b(s.b), s.label, s.dir)
-               for s in b.strands]
-    strands += [Strand(from_a(s.a), from_a(s.b), s.label, s.dir)
+    p, q = len(b.bottom), len(a.top)
+    strands = [_offset_strand(s, 0, 0, 0, q) for s in b.strands]
+    strands += [_offset_strand(s, len(b.boxes), b.n_anchors, p, 0)
                 for s in a.strands]
-    links: dict[Endpoint, Endpoint] = {}
-    upward: dict[Endpoint, int] = {}
-    for i in range(n):
-        links[("ifc", "b", i)] = ("ifc", "t", i)
-        links[("ifc", "t", i)] = ("ifc", "b", i)
-        upward[("ifc", "b", i)] = SNK   # arriving at b's top = flowing up
-        upward[("ifc", "t", i)] = SRC   # leaving a's bottom = flowing up
-    return _close_chains(a.theory, b.boxes + a.boxes, strands, links,
-                         b.bottom, a.top, a.n_anchors + b.n_anchors, upward)
+    return _splice(a.theory, b.bottom, a.top, b.boxes + a.boxes, strands,
+                   a.n_anchors + b.n_anchors,
+                   [(bnd("top", q + i), bnd("bottom", p + i))
+                    for i in range(len(b.top))])
 
 
 def _trace_diagram(d: Diagram) -> Diagram | None:
-    def remap(e):
-        if e[0] == "bnd":
-            return ("ifc", "bot" if e[1] == "bottom" else "t", e[2])
-        return e
-
-    strands = [Strand(remap(s.a), remap(s.b), s.label, s.dir)
-               for s in d.strands]
-    links: dict[Endpoint, Endpoint] = {}
-    upward: dict[Endpoint, int] = {}
-    for i in range(len(d.bottom)):
-        links[("ifc", "bot", i)] = ("ifc", "t", i)
-        links[("ifc", "t", i)] = ("ifc", "bot", i)
-        upward[("ifc", "bot", i)] = SRC
-        upward[("ifc", "t", i)] = SNK
-    return _close_chains(d.theory, d.boxes, strands, links, [], [],
-                         d.n_anchors, upward)
+    return _splice(d.theory, (), (), d.boxes, d.strands, d.n_anchors,
+                   [(bnd("bottom", i), bnd("top", i))
+                    for i in range(len(d.bottom))])
 
 
 def _adjoint_diagram(d: Diagram) -> Diagram:

@@ -19,14 +19,14 @@ in the oriented-strand theory; see `affa.equiv`.
 from __future__ import annotations
 
 from affa.cyclotomic import Cyclo
-from affa.diagram import Diagram, Morphism, Strand, bnd
+from affa.diagram import Diagram, Morphism, Strand, bnd, boundary_arc
 from affa.theory import (
     BoxKind,
     Family,
     InvariantBreach,
     Label,
-    ORIENTED_LABELS,
     Theory,
+    boundary_flow,
     box_kinds,
     box_signature,
     click_rewrite,
@@ -202,12 +202,8 @@ def unit_empty(theory: Theory) -> Morphism:
 def strand_projection(theory: Theory, label: Label) -> Morphism:
     """A single concretely labeled strand with plain boundary points: the
     minimal projection cutting the plain strand to one color/orientation."""
-    sign = ORIENTED_LABELS.get(label)
-    if sign is None:
-        s = Strand(bnd("bottom", 0), bnd("top", 0), label, 0)
-    else:
-        s = Strand(bnd("bottom", 0), bnd("top", 0), label,
-                   +1 if sign > 0 else -1)
+    s = Strand(bnd("bottom", 0), bnd("top", 0), label,
+               boundary_flow(label, "bottom"))
     d = Diagram.make(theory, [Label.PLAIN], [Label.PLAIN], [], [s])
     return Morphism.from_diagram(d)
 
@@ -272,13 +268,8 @@ def _rainbow_caps(th: Theory, first: Label) -> Morphism:
     """All-nested caps on the word first^m (dual(first))^m."""
     m = th.m
     word = [first] * m + [dual_label(first)] * m
-    strands = []
-    for i in range(m):
-        j = 2 * m - 1 - i
-        src = i if ORIENTED_LABELS[word[i]] > 0 else j
-        lab = word[i] if src == i else word[j]
-        strands.append(Strand(bnd("bottom", i), bnd("bottom", j), lab,
-                              +1 if src == i else -1))
+    strands = [boundary_arc("bottom", word, i, 2 * m - 1 - i)
+               for i in range(m)]
     return Morphism.from_diagram(Diagram.make(th, word, [], [], strands))
 
 

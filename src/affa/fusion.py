@@ -29,16 +29,15 @@ from affa.diagram import (
     Morphism,
     Strand,
     bnd,
+    boundary_arc,
     boxleg,
     leg_to_boundary,
 )
 from affa.labeling import GroupElement
 from affa.theory import (
-    SRC,
     InvariantBreach,
     Label,
     Theory,
-    boundary_flow,
     dual_label,
     leg_count,
     plain_expansion,
@@ -235,20 +234,6 @@ def trace_of_word(w: Word) -> Cyclo:
 
 # -- Gram matrices -----------------------------------------------------------
 
-def _arc_strand(word, i: int, j: int) -> Strand | None:
-    li, lj = word[i], word[j]
-    flow = boundary_flow(li, "top")
-    if not flow:
-        if li != lj:
-            return None
-        return Strand(bnd("top", i), bnd("top", j), li, 0)
-    if li != dual_label(lj):
-        return None
-    # the strand carries the object at its emitting end
-    return Strand(bnd("top", i), bnd("top", j),
-                  li if flow == SRC else lj, flow)
-
-
 def _realize_box(th: Theory, word, slots, orbit, cache):
     """One concrete (kind, rot, legs, strands) attaching a box of the
     given click orbit to the slots, or None; `strands` holds the (label,
@@ -301,7 +286,7 @@ def _placements(th: Theory, word, positions: tuple[int, ...],
     i, rest = positions[0], positions[1:]
     for t, j in enumerate(rest):
         inner, outer = rest[:t], rest[t + 1:]
-        if _arc_strand(word, i, j) is None:
+        if boundary_arc("top", word, i, j) is None:
             continue
         for fill_in in _placements(th, word, inner, budget, cache):
             used = sum(1 for it in fill_in if it[0] == "box")
@@ -374,7 +359,7 @@ def span_diagrams(th: Theory, word, max_boxes: int) -> list[Diagram]:
         for item in placement:
             if item[0] == "arc":
                 key_arcs.append((item[1], item[2]))
-                strands.append(_arc_strand(word, item[1], item[2]))
+                strands.append(boundary_arc("top", word, item[1], item[2]))
                 continue
             _, kind, rot, legs, ends, slots = item
             key_boxes.append((orbit[kind], slots))
@@ -473,11 +458,9 @@ def gram_matrix(w: Word, max_boxes: int) -> GramResult:
     for i in range(n):
         for j in range(i, n):
             val = inner_product(basis[i], basis[j])
+            if i == j and val != val.conj():
+                raise InvariantBreach("Gram diagonal not real")
             matrix[i][j] = val
             matrix[j][i] = val.conj()
     grid = tuple(tuple(row) for row in matrix)
-    for i in range(n):
-        for j in range(n):
-            if grid[i][j] != grid[j][i].conj():
-                raise InvariantBreach("Gram not Hermitian")
     return GramResult(grid, _rank(grid), _is_psd(grid), n)

@@ -88,6 +88,38 @@ def test_eval_batch_ordered_and_reports_errors(tmp_path, bad):
     assert "error" in rows[1]
 
 
+def test_invariant_breach_on_one_batch_line_keeps_the_others(
+        tmp_path, monkeypatch):
+    import affa.evaluate
+    from affa.testgen import random_closed
+    from affa.theory import InvariantBreach
+    real = affa.evaluate._eval_term
+
+    def breach_on_boxes(d):
+        if d.boxes:
+            raise InvariantBreach("planted")
+        return real(d)
+
+    monkeypatch.setattr(affa.evaluate, "_eval_term", breach_on_boxes)
+    good = json.dumps(GOOD_LINE)
+    boxed = Morphism.from_diagram(random_closed(SH2, 6, 0, 0))
+    src = tmp_path / "batch.jsonl"
+    src.write_text("\n".join([good, boxed.serialize().decode()
+                              .replace("\n", ""), good]))
+    out = tmp_path / "batch.out"
+    assert run(["eval", "--batch", str(src), "--out", str(out)]) == 3
+    rows = [json.loads(ln) for ln in out.read_text().splitlines()]
+    assert [r["index"] for r in rows] == [0, 1, 2]
+    assert rows[0]["value"] == "2" and rows[2]["value"] == "2"
+    assert rows[1]["error"] == "internal invariant breach: planted"
+
+
+def test_label_of_zero_morphism_is_an_input_error(tmp_path):
+    src = tmp_path / "zero.json"
+    src.write_bytes(Morphism.zero(AR1, [], []).serialize())
+    assert run(["label", "--in", str(src)]) == 1
+
+
 def test_label_emits_regions(tmp_path):
     from affa.testgen import random_closed
     m = Morphism.from_diagram(random_closed(SH2, 6, 0, 0))

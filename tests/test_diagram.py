@@ -1,10 +1,21 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affa.cyclotomic import Cyclo, root_power
 from affa.diagram import Diagram, Morphism, Strand, anchor, bnd, boxleg
-from affa.theory import BoxKind, Family, Label, Theory
+from affa.theory import (
+    SPECS,
+    BoxKind,
+    Family,
+    Label,
+    Theory,
+    rooted_theories,
+)
 
 
 SH2 = Theory(Family.SHADED_AODD, 2, 2, 1)
@@ -181,6 +192,28 @@ def test_trace_of_identity_is_loops():
     assert tr == Morphism.identity(SH2, w).trace_close("left")
 
 
+def test_mixed_loop_is_named_at_its_lowest_pair():
+    # a loop of one plain and one oriented arc crosses the cut both ways;
+    # it is named by the crossing of its first oriented strand met from
+    # the lowest pair: the lower diagram's top point in a composite, the
+    # bottom point in a trace
+    X, U, D = Label.PLAIN, Label.UP, Label.DOWN
+
+    def loop_label(m):
+        (s,) = the_diagram(m).strands
+        return s.label
+
+    for cap, cup, want in ((X, U, U), (U, X, D), (X, D, D), (D, X, U)):
+        m = Morphism.cap(AR2, cap).compose(Morphism.cup(AR2, cup))
+        assert loop_label(m) == want, (cap, cup)
+    for dir, want in ((+1, U), (-1, D)):
+        d = Diagram.make(AR2, [X, X], [X, X], [], [
+            Strand(bnd("bottom", 0), bnd("bottom", 1), U, dir),
+            Strand(bnd("top", 0), bnd("top", 1), X, 0)])
+        assert d.validate() == []
+        assert loop_label(Morphism.from_diagram(d).trace_close()) == want
+
+
 def test_expand_plain_counts():
     m = Morphism.identity(AR2, [Label.PLAIN]).expand_plain()
     assert len(m.terms) == 2
@@ -247,3 +280,48 @@ def test_oriented_trace_gives_one_loop_per_strand(word):
         assert d.n_anchors == len(word)
     else:
         assert d.n_anchors == 0
+
+
+COMPOSE_DIGESTS = Path(__file__).parent / "data" / "compose_digests.json"
+
+
+def digest_theories() -> list[Theory]:
+    """Every finite theory with n <= 3 at every legal root, the three
+    infinite theories, and both source categories for 2 <= m <= 4 at
+    every root."""
+    from affa.equiv import source_theory
+    return (rooted_theories(3)
+            + [Theory(fam) for fam, spec in SPECS.items()
+               if spec.category == "infinite"]
+            + [source_theory(which, m, e) for which in ("vec", "rep")
+               for m in range(2, 5) for e in range(m)])
+
+
+def compose_digest(th: Theory) -> str:
+    """sha256 over twenty random closed diagrams (finite planar theories
+    only) and, per defining relation, the terms of tr((l - r)* (l - r)):
+    a pin on what compose, adjoint and trace closure produce."""
+    from affa.evaluate import defining_relations
+    from affa.testgen import random_closed
+    h = hashlib.sha256()
+    if th.spec.category == "finite":
+        for seed in range(20):
+            d = random_closed(th, 6, 2, seed)
+            h.update(json.dumps(d.to_json(), sort_keys=True).encode())
+    for _, lhs, rhs in defining_relations(th):
+        diff = lhs - rhs
+        closed = diff.adjoint().compose(diff).trace_close()
+        for t in sorted(json.dumps(d.to_json(c), sort_keys=True)
+                        for d, c in closed.terms.items()):
+            h.update(t.encode())
+    return h.hexdigest()
+
+
+def test_compose_and_trace_match_recorded_digests():
+    recorded = json.loads(COMPOSE_DIGESTS.read_text())
+    theories = digest_theories()
+    assert len(theories) == 60
+    assert [r["theory"] for r in recorded] == [th.to_json() for th in theories]
+    got = [compose_digest(th) for th in theories]
+    changed = [r["theory"] for r, g in zip(recorded, got) if r["sha256"] != g]
+    assert not changed

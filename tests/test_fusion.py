@@ -199,6 +199,24 @@ def test_spanning_sets_match_recorded_digests():
     assert not changed
 
 
+def test_inner_product_is_conjugate_symmetric():
+    # gram_matrix fills its lower triangle by conjugation, so check here
+    # that <g, f> is the conjugate of <f, g> for every pair of spanning
+    # diagrams of every short word
+    from affa.diagram import Morphism
+    from affa.evaluate import inner_product
+    pairs = 0
+    for th in rooted_theories(3):
+        for length in range(6):
+            for word in itertools.product(th.spec.plain, repeat=length):
+                basis = [Morphism.from_diagram(d)
+                         for d in span_diagrams(th, word, length // 2)]
+                for f, g in itertools.combinations(basis, 2):
+                    assert inner_product(g, f) == inner_product(f, g).conj()
+                    pairs += 1
+    assert pairs == 164
+
+
 def test_shading_parity_rule_matches_face_parities():
     # span_diagrams picks a box's shading class by arithmetic: with legs
     # meeting slots 0..k-1 in descending order from `shift`, the star
