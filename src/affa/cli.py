@@ -104,10 +104,10 @@ def _eval_batch(args) -> int:
 def _cmd_label(args) -> int:
     from affa.labeling import invariant, term_exponent
     m = _read_morphism(args.infile)
+    value = invariant(m)
     expanded = sorted(m.expand_plain().terms, key=repr)
     if not expanded:
         raise ValueError("label needs a nonzero morphism")
-    value = invariant(m)
     d = expanded[0]
     if d.boxes:
         lab, ell = term_exponent(d)

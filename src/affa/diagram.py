@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from affa.cyclotomic import Cyclo
@@ -390,6 +391,8 @@ class Diagram:
             emap = self.endpoint_map()
         except ValueError as exc:
             return errors + [str(exc)]
+        if not 0 <= self.n_anchors <= len(self.strands):
+            return errors + [f"anchor count {self.n_anchors} out of range"]
         expected: set[Endpoint] = set()
         expected.update(bnd("bottom", i) for i in range(len(self.bottom)))
         expected.update(bnd("top", i) for i in range(len(self.top)))
@@ -740,14 +743,10 @@ class Morphism:
                          for d, c in self.terms.items()))
 
     def click(self, steps: int) -> "Morphism":
-        m = self
-        step = 1 if steps >= 0 else -1
-        for _ in range(abs(steps)):
-            newb, newt, _ = _click_boundary(m.bottom, m.top, step)
-            m = Morphism(m.theory, newb, newt,
-                         ((_click_diagram(d, step), c)
-                          for d, c in m.terms.items()))
-        return m
+        newb, newt, _ = _click_boundary(self.bottom, self.top, steps)
+        return Morphism(self.theory, newb, newt,
+                        ((_click_diagram(d, steps), c)
+                         for d, c in self.terms.items()))
 
     def trace_close(self, side: str = "right") -> "Morphism":
         if self.bottom != self.top:
@@ -762,9 +761,15 @@ class Morphism:
                          if (dd := _trace_diagram(d)) is not None))
 
     def expand_plain(self) -> "Morphism":
-        return Morphism(self.theory, self.bottom, self.top,
-                        ((dd, c) for d, c in self.terms.items()
-                         for dd in _expand_plain_diagram(d)))
+        """Each plain loop as the sum of the two strand colours.  A term with
+        p plain loops becomes p+1 terms: for j = p down to 0, the first j
+        loops in the first colour, the rest in the second, times C(p, j).
+        Closed morphisms only: there every plain strand is a free loop."""
+        if self.bottom or self.top:
+            raise ValueError("plain expansion requires a closed morphism")
+        return Morphism(self.theory, (), (),
+                        (t for d, c in self.terms.items()
+                         for t in _expand_plain_loops(d, c)))
 
     # -- serialization -----------------------------------------------------
     def serialize(self) -> bytes:
@@ -970,12 +975,12 @@ def _adjoint_diagram(d: Diagram) -> Diagram:
 
 
 def _click_boundary(bottom: Sequence[Label], top: Sequence[Label],
-                    step: int):
-    """One-notch boundary rotation.  Counterclockwise positions run along
-    the bottom left-to-right then the top right-to-left; a +1 click slides
-    every point one position clockwise (the outer star advances a notch).
-    Returns (bottom', top', endpoint moves); a label dualizes when its
-    point crosses between the two boundary rows."""
+                    steps: int):
+    """Boundary rotation by `steps` notches.  Counterclockwise positions run
+    along the bottom left-to-right then the top right-to-left; a +1 click
+    slides every point one position clockwise (the outer star advances a
+    notch).  Returns (bottom', top', endpoint moves); a label dualizes when
+    its point ends in the other row (each crossing flips row and dualizes)."""
     p, q = len(bottom), len(top)
     k = p + q
     moves: dict[Endpoint, Endpoint] = {}
@@ -990,7 +995,7 @@ def _click_boundary(bottom: Sequence[Label], top: Sequence[Label],
     newb: list = [None] * p
     newt: list = [None] * q
     for c in range(k):
-        src, dst = at(c), at((c - step) % k)
+        src, dst = at(c), at((c - steps) % k)
         lab = labels[src]
         if src[1] != dst[1]:
             lab = dual_label(lab)
@@ -1002,44 +1007,27 @@ def _click_boundary(bottom: Sequence[Label], top: Sequence[Label],
     return tuple(newb), tuple(newt), moves
 
 
-def _click_diagram(d: Diagram, step: int) -> Diagram:
-    newb, newt, moves = _click_boundary(d.bottom, d.top, step)
+def _click_diagram(d: Diagram, steps: int) -> Diagram:
+    newb, newt, moves = _click_boundary(d.bottom, d.top, steps)
     strands = [Strand(moves.get(s.a, s.a), moves.get(s.b, s.b),
                       s.label, s.dir) for s in d.strands]
     return Diagram.make(d.theory, newb, newt, d.boxes, strands, d.n_anchors)
 
 
-def _expand_plain_diagram(d: Diagram) -> Iterator[Diagram]:
+def _expand_plain_loops(d: Diagram,
+                        c: Cyclo) -> Iterator[tuple[Diagram, Cyclo]]:
     plain = [i for i, s in enumerate(d.strands) if s.label is Label.PLAIN]
     if not plain:
-        yield d
+        yield d, c
         return
-    up, down = plain_expansion(d.theory)
-    oriented = d.theory.is_oriented()
-
-    def variants(s: Strand):
-        if not oriented:
-            yield Strand(s.a, s.b, up, 0)
-            yield Strand(s.a, s.b, down, 0)
-            return
-        if s.a[0] == "anchor":
-            # the two loop orientations
-            yield Strand(s.a, s.b, up, +1)
-            yield Strand(s.a, s.b, down, +1)
-            return
-        for dir in (+1, -1):
-            src = s.a if dir == +1 else s.b
-            obj = _object_at(d.theory, d.boxes, src, SRC)
-            yield Strand(s.a, s.b, obj, dir)
-
-    def rec(i: int, strands: list[Strand]):
-        if i == len(plain):
-            yield Diagram.make(d.theory, d.bottom, d.top, d.boxes,
-                               strands, d.n_anchors)
-            return
-        for v in variants(d.strands[plain[i]]):
-            nxt = list(strands)
-            nxt[plain[i]] = v
-            yield from rec(i + 1, nxt)
-
-    yield from rec(0, list(d.strands))
+    colours = plain_expansion(d.theory)
+    dir = +1 if d.theory.is_oriented() else 0
+    strands = list(d.strands)
+    p = len(plain)
+    for j in range(p, -1, -1):
+        for n, i in enumerate(plain):
+            s = d.strands[i]
+            strands[i] = Strand(s.a, s.b, colours[n >= j], dir)
+        mult = comb(p, j)
+        yield (Diagram.make(d.theory, d.bottom, d.top, d.boxes, strands,
+                            d.n_anchors), c if mult == 1 else c * mult)

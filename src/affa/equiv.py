@@ -148,11 +148,9 @@ def _image_diagram(d: Diagram, tgt: Theory) -> Diagram:
 def to_image(m: Morphism) -> Morphism:
     """The functor image of a source-category morphism."""
     tgt = image_theory(m.theory)
-    out = Morphism.zero(tgt, [_LABEL_MAP[l] for l in m.bottom],
-                        [_LABEL_MAP[l] for l in m.top])
-    for d, c in m.terms.items():
-        out = out + Morphism.from_diagram(_image_diagram(d, tgt), c)
-    return out
+    return Morphism(tgt, [_LABEL_MAP[l] for l in m.bottom],
+                    [_LABEL_MAP[l] for l in m.top],
+                    ((_image_diagram(d, tgt), c) for d, c in m.terms.items()))
 
 
 # -- desk-scale verification -----------------------------------------------

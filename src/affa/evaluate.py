@@ -1,13 +1,15 @@
 """Exact evaluation of closed diagrams by local rewriting.
 
-Plain strands are first expanded into their two concrete colors.  Each
-resulting term is reduced box pair by box pair: the lowest-numbered live
-box is rotated until a strand to a second box leaves its first position
-(each notch of rotation applies a click relation and collects its scalar
-cost), the partner box is rotated to face it, the remaining parallel
-strands are reconnected across the pair (saddle relations, free), and the
-two boxes -- at that point an adjoint pair -- cancel by the unitary
-relation.  Free loops pop at factor one.  A box none of whose strands
+At index 4 a plain strand is the sum of the two strand colors, and in a
+closed diagram every plain strand is a free loop, so a term with p plain
+loops is first split into p+1 terms (the first j loops in the first
+color and the rest in the second, times C(p, j)).  Each resulting term
+is reduced box pair by box pair: the lowest-numbered live box is rotated
+until a strand to a second box leaves its first position (each notch of
+rotation applies a click relation and collects its scalar cost), the
+partner box is rotated to face it, the remaining parallel strands are
+reconnected across the pair (saddle relations, free), and the two boxes
+-- at that point an adjoint pair -- cancel by the unitary relation.  Free loops pop at factor one.  A box none of whose strands
 reach a second box kills its term.  The measure (live boxes, free loops)
 strictly decreases at every cancellation and pop, which is checked (an
 InvariantBreach otherwise, also under `python -O`).

@@ -341,7 +341,7 @@ class Theory:
         except ValueError:
             raise ValueError(f"unknown family {obj['family']!r}") from None
         n, root = obj.get("n"), obj.get("root", {"order": 1, "exp": 0})
-        if not isinstance(n, (int, type(None))) or not isinstance(root, dict):
+        if type(n) not in (int, type(None)) or not isinstance(root, dict):
             raise ValueError("malformed theory: n must be an integer and "
                              "root an object")
         try:

@@ -71,10 +71,14 @@ def _anchor_end(doc):
     _bad_line(_term(coeff={"order": 1, "coeffs": ["BIG"]})),
     _bad_line(_term(coeff={"order": "BIG", "coeffs": ["1"]})),
     _bad_line(lambda doc: doc["theory"].update(root={"order": "BIG"})),
+    _bad_line(_term(strands=[], anchors=-3)),
+    _bad_line(_term(strands=[], anchors=10**12)),
+    _bad_line(lambda doc: doc["theory"].update(n=True)),
 ], ids=["bad-json", "terms-not-a-list", "coeff-order-zero",
         "theory-root-not-an-object", "anchors-a-list", "anchors-null",
         "endpoint-anchor-overflows", "coeff-overflows",
-        "coeff-order-overflows", "theory-root-order-overflows"])
+        "coeff-order-overflows", "theory-root-order-overflows",
+        "anchors-negative", "anchors-beyond-strands", "theory-n-boolean"])
 def test_eval_batch_ordered_and_reports_errors(tmp_path, bad):
     good = json.dumps(GOOD_LINE)
     lines = [good, bad, good]
@@ -222,6 +226,7 @@ DATA = Path(__file__).parent / "data" / "cli"
 GOLDEN = [
     ("eval-phase-pair", ["eval", "--in", "phase_pair.json"]),
     ("eval-batch", ["eval", "--batch", "batch.jsonl"]),
+    ("eval-batch-loops", ["eval", "--batch", "batch-loops.jsonl"]),
     ("label-shaded", ["label", "--in", "shaded_draw.json"]),
     ("label-arrow", ["label", "--in", "arrow_draw.json"]),
     ("relcheck-shaded", ["relcheck", "--family", "ShadedAodd", "--n", "2",

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from affa.theory import (
     Family,
     Label,
     Theory,
+    box_kinds,
     rooted_theories,
 )
 
@@ -184,6 +186,23 @@ def test_click_full_turn_is_structural_identity():
         assert m.click(1).click(-1) == m
 
 
+def test_click_by_c_equals_c_single_notches():
+    for th in rooted_theories(3):
+        for kind in box_kinds(th):
+            g = Morphism.generator(th, kind)
+            pair = g.tensor(Morphism.identity(th, [Label.PLAIN])) \
+                .tensor(g.adjoint())
+            two = g.compose(g.adjoint()) + Morphism.identity(th, g.top) \
+                .scale(th.root())
+            for m in (g, pair, two):
+                k = len(m.bottom) + len(m.top)
+                for sign in (+1, -1):
+                    notched = m
+                    for c in range(1, 2 * k + 2):
+                        notched = notched.click(sign)
+                        assert m.click(sign * c) == notched, (th, kind, c)
+
+
 def test_trace_of_identity_is_loops():
     w = [Label.RED, Label.BLUE]
     tr = Morphism.identity(SH2, w).trace_close("right")
@@ -215,8 +234,6 @@ def test_mixed_loop_is_named_at_its_lowest_pair():
 
 
 def test_expand_plain_counts():
-    m = Morphism.identity(AR2, [Label.PLAIN]).expand_plain()
-    assert len(m.terms) == 2
     loops = Morphism.loop(SH2, Label.PLAIN)
     for _ in range(2):
         loops = loops.tensor(Morphism.loop(SH2, Label.PLAIN))
@@ -228,6 +245,89 @@ def test_expand_plain_counts():
     for c in expanded.terms.values():
         total = total + c
     assert total == Cyclo.from_fraction(8)
+
+
+def _loops(th, k, label=Label.PLAIN):
+    m = Morphism.identity(th, [])
+    for _ in range(k):
+        m = m.tensor(Morphism.loop(th, label))
+    return m
+
+
+def _expand_by_colourings(m):
+    """Every colouring of every term's plain loops, one diagram each."""
+    colours = m.theory.spec.plain
+    dir = +1 if m.theory.is_oriented() else 0
+
+    def colourings(d, c):
+        plain = [i for i, s in enumerate(d.strands) if s.label is Label.PLAIN]
+        for pick in itertools.product(colours, repeat=len(plain)):
+            strands = list(d.strands)
+            for i, lab in zip(plain, pick):
+                strands[i] = Strand(strands[i].a, strands[i].b, lab, dir)
+            yield Diagram.make(d.theory, (), (), d.boxes, strands,
+                               d.n_anchors), c
+
+    return Morphism(m.theory, (), (), (t for d, c in m.terms.items()
+                                       for t in colourings(d, c)))
+
+
+def _merging_sums():
+    """Closed sums whose colourings merge across terms, some cancelling."""
+    from affa.testgen import random_closed
+    for th in (SH2, AR2, AE1, CO2):
+        first, second = th.spec.plain
+        for seed in range(3):
+            x = Morphism.from_diagram(random_closed(th, 4, 1, seed))
+            y = Morphism.from_diagram(random_closed(th, 4, 0, seed + 50))
+            z = th.root()
+            yield (x.tensor(_loops(th, 4))
+                   - x.tensor(Morphism.loop(th, first)).tensor(_loops(th, 3))
+                   + y.tensor(_loops(th, 3)).scale(z))
+            yield (_loops(th, 3) - Morphism.loop(th, first)
+                   .tensor(_loops(th, 2)) - Morphism.loop(th, second)
+                   .tensor(_loops(th, 2)))
+
+
+def test_expand_plain_matches_every_colouring():
+    from affa.evaluate import _eval_term, eval_with_steps
+    for m in _merging_sums():
+        want = _expand_by_colourings(m)
+        got = m.expand_plain()
+        assert list(got.terms) == list(want.terms)
+        assert [repr(c) for c in got.terms.values()] == \
+            [repr(c) for c in want.terms.values()]
+        value, steps = Cyclo.zero(), 0
+        for d, c in want.terms.items():
+            v, st = _eval_term(d)
+            value, steps = value + c * v, steps + st
+        assert eval_with_steps(m) == (value, steps)
+    assert (_loops(AR2, 3) - Morphism.loop(AR2, Label.UP)
+            .tensor(_loops(AR2, 2)) - Morphism.loop(AR2, Label.DOWN)
+            .tensor(_loops(AR2, 2))).expand_plain().is_zero()
+
+
+def test_expand_plain_makes_one_diagram_per_colour_count(monkeypatch):
+    m = _loops(AR2, 20)
+    made = []
+    real = Diagram.make
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(Diagram, "make", staticmethod(counted))
+    expanded = m.expand_plain()
+    assert len(made) <= 21 and len(expanded.terms) == 21
+    total = Cyclo.zero()
+    for c in expanded.terms.values():
+        total = total + c
+    assert total == Cyclo.from_fraction(2 ** 20)
+
+
+def test_expand_plain_rejects_an_open_morphism():
+    with pytest.raises(ValueError):
+        Morphism.identity(AR2, [Label.PLAIN]).expand_plain()
 
 
 def test_morphism_linear_algebra():
