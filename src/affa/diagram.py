@@ -241,11 +241,11 @@ class Diagram:
              bottom: Sequence[Label],
              top: Sequence[Label],
              boxes: Sequence[tuple[BoxKind, int]],
-             strands: Iterable[Strand],
-             n_anchors: int = 0) -> "Diagram":
+             strands: Iterable[Strand]) -> "Diagram":
         """Canonical constructor: normalizes box rotations mod leg count,
-        renumbers anchors deterministically, canonicalizes loop strands,
-        sorts strands."""
+        renumbers anchors deterministically (their count is the number of
+        anchors the strands use), canonicalizes loop strands, sorts
+        strands."""
         boxes = tuple((k, r % leg_count(theory, k)) for k, r in boxes)
         strands = list(strands)
         # Canonicalize anchor loops: flow always slot 0 -> slot 1.
@@ -276,7 +276,7 @@ class Diagram:
                 s.label, s.dir) for s in out]
         out.sort(key=lambda s: (_ep_key(s.a), _ep_key(s.b)))
         return Diagram(theory, tuple(bottom), tuple(top), boxes,
-                       len(remap) if remap else n_anchors, tuple(out))
+                       len(remap), tuple(out))
 
     # -- structural helpers -------------------------------------------
     def endpoint_map(self) -> dict[Endpoint, Strand]:
@@ -391,8 +391,6 @@ class Diagram:
             emap = self.endpoint_map()
         except ValueError as exc:
             return errors + [str(exc)]
-        if not 0 <= self.n_anchors <= len(self.strands):
-            return errors + [f"anchor count {self.n_anchors} out of range"]
         expected: set[Endpoint] = set()
         expected.update(bnd("bottom", i) for i in range(len(self.bottom)))
         expected.update(bnd("top", i) for i in range(len(self.top)))
@@ -581,10 +579,13 @@ class Diagram:
             strands = [Strand(ep(s["a"]), ep(s["b"]), Label(s["label"]),
                               int(s.get("dir", 0)))
                        for s in obj.get("strands", [])]
-            n_anchors = int(obj.get("anchors", 0))
+            declared = int(obj["anchors"]) if "anchors" in obj else None
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed diagram: {exc}") from None
-        d = Diagram.make(th, bottom, top, boxes, strands, n_anchors)
+        d = Diagram.make(th, bottom, top, boxes, strands)
+        if declared not in (None, d.n_anchors):
+            raise ValueError(f"{declared} anchors declared, but the strands "
+                             f"use {d.n_anchors}")
         errs = d.validate()
         if errs:
             raise ValueError("invalid diagram: " + "; ".join(errs))
@@ -669,8 +670,7 @@ class Morphism:
         """A single free loop on a fresh anchor."""
         dir = +1 if label in ORIENTED_LABELS else 0
         s = Strand(anchor(0, 0), anchor(0, 1), label, dir)
-        d = Diagram.make(theory, [], [], [], [s], n_anchors=1)
-        return Morphism.from_diagram(d)
+        return Morphism.from_diagram(Diagram.make(theory, [], [], [], [s]))
 
     # -- linear structure -------------------------------------------------
     def _check_same_boundary(self, other: "Morphism"):
@@ -833,8 +833,7 @@ def _tensor_diagrams(a: Diagram, b: Diagram) -> Diagram:
     strands += [_offset_strand(s, len(a.boxes), a.n_anchors, len(a.bottom),
                                len(a.top)) for s in b.strands]
     return Diagram.make(a.theory, a.bottom + b.bottom, a.top + b.top,
-                        a.boxes + b.boxes, strands,
-                        a.n_anchors + b.n_anchors)
+                        a.boxes + b.boxes, strands)
 
 
 def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
@@ -913,7 +912,7 @@ def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
             lab, dir = label or Label.PLAIN, 0
         out.append(Strand(anchor(na, 0), anchor(na, 1), lab, dir))
         na += 1
-    d = Diagram.make(theory, bottom, top, boxes, out, na)
+    d = Diagram.make(theory, bottom, top, boxes, out)
     if theory.is_shaded() and d.boxes:
         faces, face_of = d.face_index()
         if not d._shading_consistent(faces, face_of):
@@ -971,7 +970,7 @@ def _adjoint_diagram(d: Diagram) -> Diagram:
         new_src = remap(old_snk)
         obj = _object_at(th, new_boxes, new_src, SRC)
         out.append(Strand(na, nb, obj, +1 if new_src == na else -1))
-    return Diagram.make(th, d.top, d.bottom, new_boxes, out, d.n_anchors)
+    return Diagram.make(th, d.top, d.bottom, new_boxes, out)
 
 
 def _click_boundary(bottom: Sequence[Label], top: Sequence[Label],
@@ -1011,7 +1010,7 @@ def _click_diagram(d: Diagram, steps: int) -> Diagram:
     newb, newt, moves = _click_boundary(d.bottom, d.top, steps)
     strands = [Strand(moves.get(s.a, s.a), moves.get(s.b, s.b),
                       s.label, s.dir) for s in d.strands]
-    return Diagram.make(d.theory, newb, newt, d.boxes, strands, d.n_anchors)
+    return Diagram.make(d.theory, newb, newt, d.boxes, strands)
 
 
 def _expand_plain_loops(d: Diagram,
@@ -1029,5 +1028,5 @@ def _expand_plain_loops(d: Diagram,
             s = d.strands[i]
             strands[i] = Strand(s.a, s.b, colours[n >= j], dir)
         mult = comb(p, j)
-        yield (Diagram.make(d.theory, d.bottom, d.top, d.boxes, strands,
-                            d.n_anchors), c if mult == 1 else c * mult)
+        yield (Diagram.make(d.theory, d.bottom, d.top, d.boxes, strands),
+               c if mult == 1 else c * mult)

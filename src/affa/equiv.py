@@ -137,7 +137,7 @@ def _image_diagram(d: Diagram, tgt: Theory) -> Diagram:
         strands.append(Strand(s.a, s.b, la if ra == SRC else lb, ra))
     out = Diagram.make(tgt, [_LABEL_MAP[l] for l in d.bottom],
                        [_LABEL_MAP[l] for l in d.top],
-                       boxes, strands, n_anchors=d.n_anchors)
+                       boxes, strands)
     errs = out.validate()
     if errs:
         raise ValueError("diagram is not in the functor image: "

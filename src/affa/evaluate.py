@@ -9,8 +9,8 @@ until a strand to a second box leaves its first position (each notch of
 rotation applies a click relation and collects its scalar cost), the
 partner box is rotated to face it, the remaining parallel strands are
 reconnected across the pair (saddle relations, free), and the two boxes
--- at that point an adjoint pair -- cancel by the unitary relation.  Free loops pop at factor one.  A box none of whose strands
-reach a second box kills its term.  The measure (live boxes, free loops)
+-- at that point an adjoint pair -- cancel by the unitary relation.
+Free loops pop at factor one.  The measure (live boxes, free loops)
 strictly decreases at every cancellation and pop, which is checked (an
 InvariantBreach otherwise, also under `python -O`).
 
@@ -138,8 +138,9 @@ def _eval_term(d: Diagram) -> tuple[Cyclo, int]:
                 legA = leg
                 break
         if legA is None:
-            # every strand of A returns to A: the term vanishes
-            return Cyclo.zero(), steps
+            # every strand of A returning to A would need an innermost
+            # chord joining two adjacent legs, which no box allows
+            raise InvariantBreach("box whose strands all return to it")
         B, legB = conn[(A, legA)]
         c, st = _click_to(th, boxes, A, legA, 0)
         scalar, steps = scalar * c, steps + st

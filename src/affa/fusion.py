@@ -15,13 +15,15 @@ evaluation algorithm).  A box is fitted to its slots by a match
 against the theory's leg table: its legs meet the slots in descending
 (clockwise) order, each leg's entry must fit the letter of its slot,
 and in shaded families a parity test on the rotation, the first leg and
-the first slot picks the canonical shading class (see `_realize_box`).
+the first slot picks the canonical shading class (see `_fit_box`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 from affa.cyclotomic import Cyclo
 from affa.diagram import (
@@ -234,10 +236,11 @@ def trace_of_word(w: Word) -> Cyclo:
 
 # -- Gram matrices -----------------------------------------------------------
 
-def _realize_box(th: Theory, word, slots, orbit, cache):
-    """One concrete (kind, rot, legs, strands) attaching a box of the
-    given click orbit to the slots, or None; `strands` holds the (label,
-    direction) of the strand from each leg to its slot.
+@lru_cache(maxsize=None)
+def _fit_box(th: Theory, orbit, letters, first_parity: int):
+    """One concrete (kind, rot, legs, ends) attaching a box of the given
+    click orbit to slots carrying the letters, or None; `ends` holds the
+    (label, direction) of the strand from each leg to its slot.
 
     Slot t takes leg (shift - t) % k: the slots run left to right, so
     the legs meeting them run clockwise around the box.  A fit is the
@@ -247,21 +250,14 @@ def _realize_box(th: Theory, word, slots, orbit, cache):
     their line.  In shaded families the fit must also lie in the
     canonical shading class, the one leaving the outer region unshaded:
     the star corner's region has checkerboard parity (shift - rot) % 2
-    relative to the region left of slot 0, and that region has parity
-    slots[0] % 2 relative to the outer one (walking along the boundary
-    crosses one strand per point), so the test is
-    (shift - rot) % 2 == star_parity(kind) ^ (slots[0] % 2).  The other
+    relative to the region left of the first slot, and that region has
+    parity `first_parity` (the first slot's position mod 2) relative to
+    the outer one (walking along the boundary crosses one strand per
+    point), so the test is
+    (shift - rot) % 2 == star_parity(kind) ^ first_parity.  The other
     class spans the hom space of the oppositely shaded boundary object,
     which shares the strand colours."""
-    mini = tuple(word[s] for s in slots)
-    ckey = (orbit[0], mini, slots[0] % 2)
-    if ckey not in cache:
-        cache[ckey] = _fit_box(th, mini, orbit, slots[0] % 2)
-    return cache[ckey]
-
-
-def _fit_box(th: Theory, mini, orbit, first_parity: int):
-    k = len(mini)
+    k = len(letters)
     for kind in orbit:
         want = star_parity(kind) ^ first_parity
         for rot in range(k):
@@ -271,72 +267,48 @@ def _fit_box(th: Theory, mini, orbit, first_parity: int):
                 legs = tuple((shift - t) % k for t in range(k))
                 ends = [leg_to_boundary(th, th.leg(kind, rot, leg), "top")
                         for leg in legs]
-                if all(e[0] == w for e, w in zip(ends, mini)):
+                if all(e[0] == w for e, w in zip(ends, letters)):
                     return kind, rot, legs, tuple(e[1:] for e in ends)
     return None
 
 
-def _placements(th: Theory, word, positions: tuple[int, ...],
-                budget: int, cache):
-    """Non-crossing fillings of the positions by arcs and boxes, one
-    placement per attachment topology."""
-    if not positions:
-        yield []
+def _fillings(th: Theory, word, segments: list, budget: int):
+    """Non-crossing fillings of the segments (lists of positions) by
+    blocks, each with the number of boxes it uses (at most `budget`).
+
+    A block is the set of positions one piece attaches to: an arc joins
+    two points, and a box of a click orbit with k legs joins k.  The
+    block holding the first position of the first segment cuts that
+    segment into the gaps between its points and the tail after its last
+    one.  No piece crosses a block, so these and the later segments are
+    filled independently.  The decomposition by first block is unique,
+    so every attachment topology comes out once: arcs first, then boxes
+    in `th.spec.orbits` order."""
+    if not segments:
+        yield [], 0
         return
-    i, rest = positions[0], positions[1:]
-    for t, j in enumerate(rest):
-        inner, outer = rest[:t], rest[t + 1:]
-        if boundary_arc("top", word, i, j) is None:
-            continue
-        for fill_in in _placements(th, word, inner, budget, cache):
-            used = sum(1 for it in fill_in if it[0] == "box")
-            for fill_out in _placements(th, word, outer, budget - used,
-                                        cache):
-                yield [("arc", i, j)] + fill_in + fill_out
-    if budget <= 0:
-        return
-    for orbit in th.spec.orbits:
-        k = leg_count(th, orbit[0])
-        if k - 1 > len(rest):
-            continue
-        for assign in _leg_assignments(k, rest):
-            slots = (i,) + assign["points"]
-            real = _realize_box(th, word, slots, orbit, cache)
-            if real is None:
+    (i, *rest), *later = segments
+    shapes = [(None, 2)]
+    if budget > 0:
+        shapes += [(orbit, leg_count(th, orbit[0]))
+                   for orbit in th.spec.orbits]
+    for orbit, k in shapes:
+        for picks in combinations(range(len(rest)), k - 1):
+            slots = (i, *(rest[p] for p in picks))
+            if orbit is None:
+                piece, cost = boundary_arc("top", word, i, slots[1]), 0
+            else:
+                fit = _fit_box(th, orbit, tuple(word[s] for s in slots),
+                               i % 2)
+                piece, cost = fit and (*fit, slots), 1
+            if piece is None:
                 continue
-            item = ("box", *real, slots)
-            for fills in _gap_products(th, word, assign["gaps"],
-                                       budget - 1, cache):
-                used = sum(1 for it in fills if it[0] == "box")
-                for tail_fill in _placements(th, word, assign["tail"],
-                                             budget - 1 - used, cache):
-                    yield [item] + fills + tail_fill
-
-
-def _leg_assignments(k: int, rest: tuple[int, ...]):
-    """Choices of k-1 further attachment points, with the gaps between
-    consecutive points recorded."""
-    from itertools import combinations
-    for points in combinations(range(len(rest)), k - 1):
-        gaps = []
-        prev = -1
-        for idx in points:
-            gaps.append(rest[prev + 1:idx])
-            prev = idx
-        tail = rest[prev + 1:]
-        yield {"points": tuple(rest[idx] for idx in points),
-               "gaps": tuple(gaps), "tail": tail}
-
-
-def _gap_products(th: Theory, word, gaps, budget: int, cache):
-    if not gaps:
-        yield []
-        return
-    head, tail = gaps[0], gaps[1:]
-    for fill in _placements(th, word, head, budget, cache):
-        used = sum(1 for it in fill if it[0] == "box")
-        for more in _gap_products(th, word, tail, budget - used, cache):
-            yield fill + more
+            cuts = (-1, *picks, len(rest))
+            gaps = [rest[a + 1:b] for a, b in zip(cuts, cuts[1:])]
+            for fill, used in _fillings(th, word,
+                                        [g for g in gaps if g] + later,
+                                        budget - cost):
+                yield [piece] + fill, cost + used
 
 
 def span_diagrams(th: Theory, word, max_boxes: int) -> list[Diagram]:
@@ -347,34 +319,25 @@ def span_diagrams(th: Theory, word, max_boxes: int) -> list[Diagram]:
     the outer region unshaded."""
     word = tuple(word)
     results = []
-    seen_keys = set()
-    orbit = {k: i for i, ks in enumerate(th.spec.orbits) for k in ks}
-    cache: dict = {}
-    for placement in _placements(th, word, tuple(range(len(word))),
-                                 max_boxes, cache):
-        key_arcs = []
-        key_boxes = []
+    segments = [list(range(len(word)))] if word else []
+    for placement, _ in _fillings(th, word, segments, max_boxes):
         boxes = []
         strands = []
-        for item in placement:
-            if item[0] == "arc":
-                key_arcs.append((item[1], item[2]))
-                strands.append(boundary_arc("top", word, item[1], item[2]))
+        for piece in placement:
+            if isinstance(piece, Strand):
+                strands.append(piece)
                 continue
-            _, kind, rot, legs, ends, slots = item
-            key_boxes.append((orbit[kind], slots))
+            kind, rot, legs, ends, slots = piece
             b = len(boxes)
             boxes.append((kind, rot))
             strands.extend(Strand(boxleg(b, leg), bnd("top", pos), lab, dir)
                            for leg, pos, (lab, dir)
                            in zip(legs, slots, ends))
-        key = (tuple(sorted(key_arcs)), tuple(sorted(key_boxes)))
-        if key in seen_keys:
-            continue
         d = Diagram.make(th, [], list(word), boxes, strands)
-        if d.validate():
-            continue
-        seen_keys.add(key)
+        errors = d.validate()
+        if errors:
+            raise InvariantBreach(
+                "invalid spanning diagram: " + "; ".join(errors))
         results.append(d)
     return results
 
@@ -418,8 +381,10 @@ def _positive_real(c: Cyclo) -> bool:
     if c.is_rational():
         return c.as_fraction() > 0
     z = c.approx()
-    assert abs(z.imag) < 1e-9, "pivot is not real"
-    assert abs(z.real) > 1e-9, "pivot sign numerically undecidable"
+    if abs(z.imag) >= 1e-9:
+        raise InvariantBreach("pivot is not real")
+    if abs(z.real) <= 1e-9:
+        raise InvariantBreach("pivot sign numerically undecidable")
     return z.real > 0
 
 

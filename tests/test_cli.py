@@ -74,11 +74,14 @@ def _anchor_end(doc):
     _bad_line(_term(strands=[], anchors=-3)),
     _bad_line(_term(strands=[], anchors=10**12)),
     _bad_line(lambda doc: doc["theory"].update(n=True)),
+    _bad_line(_term(anchors=5)),
+    _bad_line(_term(anchors=0)),
 ], ids=["bad-json", "terms-not-a-list", "coeff-order-zero",
         "theory-root-not-an-object", "anchors-a-list", "anchors-null",
         "endpoint-anchor-overflows", "coeff-overflows",
         "coeff-order-overflows", "theory-root-order-overflows",
-        "anchors-negative", "anchors-beyond-strands", "theory-n-boolean"])
+        "anchors-negative", "anchors-beyond-strands", "theory-n-boolean",
+        "anchors-more-than-loops", "anchors-fewer-than-loops"])
 def test_eval_batch_ordered_and_reports_errors(tmp_path, bad):
     good = json.dumps(GOOD_LINE)
     lines = [good, bad, good]

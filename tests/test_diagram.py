@@ -265,8 +265,7 @@ def _expand_by_colourings(m):
             strands = list(d.strands)
             for i, lab in zip(plain, pick):
                 strands[i] = Strand(strands[i].a, strands[i].b, lab, dir)
-            yield Diagram.make(d.theory, (), (), d.boxes, strands,
-                               d.n_anchors), c
+            yield Diagram.make(d.theory, (), (), d.boxes, strands), c
 
     return Morphism(m.theory, (), (), (t for d, c in m.terms.items()
                                        for t in colourings(d, c)))

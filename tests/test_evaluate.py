@@ -176,6 +176,20 @@ def test_step_count_reported():
     assert steps >= 1
 
 
+def test_box_whose_strands_all_return_to_it_is_a_breach():
+    # no box has two adjacent legs one strand may join, so this diagram is
+    # invalid, and no valid one reaches the branch
+    from affa.diagram import Diagram, Strand, boxleg
+    from affa.theory import InvariantBreach, leg_count
+    assert leg_count(AR2, BoxKind.U) == 4
+    d = Diagram(AR2, (), (), ((BoxKind.U, 0),), 0, (
+        Strand(boxleg(0, 0), boxleg(0, 1), Label.UP, +1),
+        Strand(boxleg(0, 2), boxleg(0, 3), Label.UP, +1)))
+    assert d.validate()
+    with pytest.raises(InvariantBreach, match="all return to it"):
+        eval_with_steps(Morphism.from_diagram(d))
+
+
 def test_invariant_checks_run_under_python_O():
     # with kind_adjoint patched to the identity the evaluator pairs U with
     # U*, and must say so even when `python -O` strips plain asserts

@@ -162,6 +162,31 @@ def test_span_diagrams_are_valid_and_boundary_only():
     for d in span_diagrams(SH2, word, max_boxes=2):
         assert d.validate() == []
         assert not d.bottom and tuple(d.top) == word
+    # every finite full-order theory with n <= 3, every word of length
+    # <= 6: valid diagrams, none repeated
+    full = list(dict.fromkeys(Theory.with_root(th.family, th.n, 1)
+                              for th in rooted_theories(3)))
+    assert len(full) == 12
+    count = 0
+    for th in full:
+        for length in range(7):
+            for word in itertools.product(th.spec.plain, repeat=length):
+                basis = span_diagrams(th, word, length // 2)
+                assert len(set(basis)) == len(basis)
+                for d in basis:
+                    assert d.validate() == []
+                    assert not d.bottom and d.top == word
+                count += len(basis)
+    assert count == 1650
+
+
+def test_non_real_pivot_is_an_invariant_breach():
+    # a raise, not an assert, so the check also runs under `python -O`
+    from affa.cyclotomic import root_power
+    from affa.fusion import _positive_real
+    from affa.theory import InvariantBreach
+    with pytest.raises(InvariantBreach, match="not real"):
+        _positive_real(root_power(4, 1))
 
 
 @settings(max_examples=25, deadline=None)
