@@ -3,8 +3,10 @@
 A scalar is a rational polynomial in zeta_d, stored canonically reduced
 modulo the d-th cyclotomic polynomial Phi_d.  Equality of values is
 equality of canonical representations (after embedding into a common
-order), so all downstream rewriting is decidable and bit-exact.  No
-floating point anywhere except the explicit display helper.
+order), so all downstream rewriting is decidable and bit-exact.  The
+only floating point is `approx`.  It serves display, and one decision:
+`fusion._positive_real` reads the sign of a non-rational Gram pivot from
+it, raising InvariantBreach when a 1e-9 guard cannot decide the sign.
 """
 
 from __future__ import annotations
@@ -153,32 +155,31 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        """Field inverse via linear solve in the power basis."""
+        """Field inverse: the product of the other Galois conjugates over
+        the norm, which is rational."""
         if self.is_zero():
             raise ZeroDivisionError("Cyclo inverse of zero")
         d = self.order
-        n = euler_phi(d)
-        # Columns: self * zeta^j for j < phi(d); solve M x = e_0.
-        cols = []
-        p = self
-        z = root_power(d, 1).embed(d)
-        for _ in range(n):
-            cols.append(p.coeffs[:n])
-            p = p * z
-        mat = [[cols[j][i] for j in range(n)] + [Fraction(1 if i == 0 else 0)]
-               for i in range(n)]
-        x = _solve_linear(mat, n)
-        return Cyclo(x, d)
+        others = Cyclo.one(d)
+        for k in range(2, d):
+            if math.gcd(k, d) == 1:
+                others = others * self._galois(k)
+        norm = (self * others).as_fraction()
+        return Cyclo([c / norm for c in others.coeffs], d)
 
     def __truediv__(self, other: "Cyclo") -> "Cyclo":
         return self * _as_cyclo(other).inverse()
 
     def conj(self) -> "Cyclo":
         """Complex conjugation: zeta_d -> zeta_d^{-1}."""
+        return self._galois(-1)
+
+    def _galois(self, k: int) -> "Cyclo":
+        """The Galois conjugate zeta_d -> zeta_d^k (k coprime to d)."""
         d = self.order
         cs = [Fraction(0)] * d
         for i, c in enumerate(self.coeffs):
-            cs[(-i) % d] += c
+            cs[(i * k) % d] += c
         return Cyclo(cs, d)
 
     def __pow__(self, k: int) -> "Cyclo":
@@ -216,7 +217,7 @@ class Cyclo:
                 terms.append(mon if c == 1 else f"{c}*{mon}")
         return " + ".join(terms) if terms else "0"
 
-    # -- display helper (never used in identities) ----------------------
+    # -- float value: display, and the sign of a Gram pivot -------------
     def approx(self) -> complex:
         z = complex(math.cos(2 * math.pi / self.order),
                     math.sin(2 * math.pi / self.order))
@@ -249,20 +250,6 @@ def _as_cyclo(x) -> Cyclo:
     if isinstance(x, (int, Fraction)):
         return Cyclo.from_fraction(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Cyclo")
-
-
-def _solve_linear(aug: list[list[Fraction]], n: int) -> list[Fraction]:
-    """Solve an n x n rational system given as an augmented matrix."""
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 def root_power(order: int, k: int) -> Cyclo:

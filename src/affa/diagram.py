@@ -5,7 +5,9 @@ degree-2 anchor vertices hosting free loops, and (for open diagrams) a
 single collapsed boundary vertex.  Strands are a perfect matching on
 endpoints.  Planarity is the genus-0 Euler check per connected
 component, so equality of diagrams is decidable structure equality and
-isotopy invariance holds by construction.
+isotopy invariance holds by construction.  One walk from face to face
+across strands (`walk_faces`) finds the components, the checkerboard
+parities of shaded diagrams and the region labels of `affa.labeling`.
 
 Endpoints are tuples:
     ("bnd", "bottom"|"top", i)   boundary point
@@ -42,6 +44,7 @@ from affa.theory import (
     SNK,
     SRC,
     BoxKind,
+    InvariantBreach,
     Label,
     ORIENTED_LABELS,
     Theory,
@@ -227,6 +230,36 @@ def boundary_arc(side: str, word: Sequence[Label], i: int,
                   word[i] if flow == SRC else word[j], flow)
 
 
+def walk_faces(n_faces: int, crossings: Iterable[tuple[int, int, object]],
+               ident, first: Iterable[int] = ()) -> tuple[list, list[int]]:
+    """Label faces 0..n_faces-1 by walking across strands: a crossing
+    (fa, fb, mult) gives fb the label of fa times mult.  The first face
+    of each component (those in `first` before the rest, in index order)
+    gets `ident`.  Returns each face's label and its component's first
+    face; a face reached with two labels is an InvariantBreach."""
+    adj: list[list] = [[] for _ in range(n_faces)]
+    for fa, fb, mult in crossings:
+        adj[fa].append((fb, mult))
+    labels: list = [None] * n_faces
+    root: list[int] = [-1] * n_faces
+    for f0 in chain(first, range(n_faces)):
+        if root[f0] != -1:
+            continue
+        labels[f0], root[f0] = ident, f0
+        stack = [f0]
+        while stack:
+            f = stack.pop()
+            for g, mult in adj[f]:
+                want = labels[f] * mult
+                if root[g] == -1:
+                    labels[g], root[g] = want, f0
+                    stack.append(g)
+                elif labels[g] != want:
+                    raise InvariantBreach(
+                        "face reached with two labels: planarity bug")
+    return labels, root
+
+
 @dataclass(frozen=True)
 class Diagram:
     theory: Theory
@@ -348,25 +381,6 @@ class Diagram:
         faces = self.faces()
         return faces, {e: fi for fi, f in enumerate(faces) for e in f}
 
-    def components(self) -> list[set[tuple]]:
-        """Connected components as sets of vertices."""
-        parent: dict[tuple, tuple] = {v: v for v in self.vertices()}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for s in self.strands:
-            ra, rb = find(self.vertex_of(s.a)), find(self.vertex_of(s.b))
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[tuple, set[tuple]] = {}
-        for v in parent:
-            groups.setdefault(find(v), set()).add(v)
-        return list(groups.values())
-
     def star_face_endpoint(self, b: int) -> Endpoint:
         """The endpoint whose face corner is the star corner of box b
         (ccw between legs rot-1 and rot)."""
@@ -414,16 +428,20 @@ class Diagram:
             errors.extend(self._check_strand(s))
         if errors:
             return errors
-        # Planarity: genus 0 per connected component.
+        # Planarity: genus 0 per connected component.  The faces a walk
+        # across strands reaches from one face are one component's faces,
+        # and each of its strands has both endpoints on them.
         faces, face_of = self.face_index()
-        for comp in self.components():
-            es = {s for s in self.strands if self.vertex_of(s.a) in comp}
-            if not es:
-                continue
-            fs = {face_of[s.a] for s in es} | {face_of[s.b] for s in es}
-            if len(comp) - len(es) + len(fs) != 2:
-                errors.append(f"non-planar component: V={len(comp)} "
-                              f"E={len(es)} F={len(fs)}")
+        _, root = walk_faces(len(faces), [
+            (face_of[e], face_of[s.other(e)], 1)
+            for s in self.strands for e in (s.a, s.b)], 1)
+        for r in sorted(set(root)):
+            fs = [face for face, fr in zip(faces, root) if fr == r]
+            ends = [e for face in fs for e in face]
+            n_v, n_e = len({self.vertex_of(e) for e in ends}), len(ends) // 2
+            if n_v - n_e + len(fs) != 2:
+                errors.append(f"non-planar component: V={n_v} "
+                              f"E={n_e} F={len(fs)}")
         if errors:
             return errors
         if th.is_shaded() and self.boxes:
@@ -485,42 +503,19 @@ class Diagram:
         return None, 0
 
     def _shading_consistent(self, faces, face_of) -> bool:
-        """Exists a checkerboard parity per component matching all boxes."""
-        parity = self._face_parities(faces, face_of)
-        comp_of_vertex = {}
-        for ci, comp in enumerate(self.components()):
-            for v in comp:
-                comp_of_vertex[v] = ci
+        """Exists a checkerboard parity per component matching all boxes:
+        the sign of a walk flipping it across every strand, consistent as
+        every vertex of a planar diagram has even degree."""
+        sign, root = walk_faces(len(faces), [
+            (face_of[e], face_of[s.other(e)], -1)
+            for s in self.strands for e in (s.a, s.b)], 1)
         required: dict[int, int] = {}
         for b, (kind, _) in enumerate(self.boxes):
             f = face_of[self.star_face_endpoint(b)]
-            val = parity[f] ^ star_parity(kind)
-            ci = comp_of_vertex[("box", b)]
-            if required.setdefault(ci, val) != val:
+            val = (sign[f] < 0) ^ star_parity(kind)
+            if required.setdefault(root[f], val) != val:
                 return False
         return True
-
-    def _face_parities(self, faces, face_of) -> list[int]:
-        """2-coloring of faces (parity flips across every strand).  Always
-        consistent: all vertex degrees are even, so face cycles are even."""
-        adj: dict[int, set[int]] = {i: set() for i in range(len(faces))}
-        for s in self.strands:
-            fa, fb = face_of[s.a], face_of[s.b]
-            adj[fa].add(fb)
-            adj[fb].add(fa)
-        parity = [-1] * len(faces)
-        for start in range(len(faces)):
-            if parity[start] != -1:
-                continue
-            parity[start] = 0
-            stack = [start]
-            while stack:
-                f = stack.pop()
-                for g in adj[f]:
-                    if parity[g] == -1:
-                        parity[g] = parity[f] ^ 1
-                        stack.append(g)
-        return parity
 
     # -- serialization -----------------------------------------------------
     def to_json(self, coeff: Cyclo | None = None) -> dict:
@@ -582,6 +577,11 @@ class Diagram:
             declared = int(obj["anchors"]) if "anchors" in obj else None
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed diagram: {exc}") from None
+        for s in strands:
+            for e in (s.a, s.b):
+                if e[0] == "anchor" and s.other(e)[:2] != e[:2]:
+                    raise ValueError(f"anchor {e[1]} side {e[2]} is not on "
+                                     f"a loop around anchor {e[1]}")
         d = Diagram.make(th, bottom, top, boxes, strands)
         if declared not in (None, d.n_anchors):
             raise ValueError(f"{declared} anchors declared, but the strands "

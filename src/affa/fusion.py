@@ -16,6 +16,9 @@ against the theory's leg table: its legs meet the slots in descending
 (clockwise) order, each leg's entry must fit the letter of its slot,
 and in shaded families a parity test on the rotation, the first leg and
 the first slot picks the canonical shading class (see `_fit_box`).
+One symmetric elimination (`_rank_and_psd`) gives a Gram matrix's rank
+and positive semidefiniteness; the sign of a non-rational pivot is read
+from a floating-point value (`_positive_real`).
 """
 
 from __future__ import annotations
@@ -350,33 +353,6 @@ class GramResult:
     size: int
 
 
-def _rank(matrix) -> int:
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    rank = 0
-    col = 0
-    width = n and len(rows[0])
-    while rank < n and col < width:
-        pivot = None
-        for r in range(rank, n):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(n):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def _positive_real(c: Cyclo) -> bool:
     if c.is_rational():
         return c.as_fraction() > 0
@@ -388,26 +364,41 @@ def _positive_real(c: Cyclo) -> bool:
     return z.real > 0
 
 
-def _is_psd(matrix) -> bool:
+def _rank_and_psd(matrix) -> tuple[int, bool]:
+    """Rank and positive semidefiniteness of a Hermitian matrix by one
+    symmetric elimination.  Each step takes the first nonzero diagonal
+    entry as a pivot, whose sign decides PSD until one is negative; when
+    the remaining diagonal is zero, a nonzero entry and its mirror form an
+    invertible 2x2 pivot, so the matrix is not PSD.  Each pivot adds its
+    size to the rank."""
     m = [list(r) for r in matrix]
     live = list(range(len(m)))
+    rank, psd = 0, True
     while live:
-        pivot = None
-        for i in live:
-            if not m[i][i].is_zero():
-                pivot = i
+        p = next((i for i in live if not m[i][i].is_zero()), None)
+        if p is not None:
+            psd = psd and _positive_real(m[p][p])
+            # (row, column, entry) of the pivot block's inverse
+            inv = [(p, p, m[p][p].inverse())]
+        else:
+            pair = next(((i, j) for i in live for j in live
+                         if not m[i][j].is_zero()), None)
+            if pair is None:
                 break
-        if pivot is None:
-            # zero diagonal: PSD forces the whole remainder to vanish
-            return all(m[i][j].is_zero() for i in live for j in live)
-        if not _positive_real(m[pivot][pivot]):
-            return False
-        live.remove(pivot)
-        d = m[pivot][pivot].inverse()
-        for i in live:
-            for j in live:
-                m[i][j] = m[i][j] - m[i][pivot] * d * m[pivot][j]
-    return True
+            i, j = pair
+            psd = False
+            inv = [(i, j, m[j][i].inverse()), (j, i, m[i][j].inverse())]
+        for a, _, _ in inv:
+            live.remove(a)
+        rank += len(inv)
+        for k in live:
+            for a, b, c in inv:
+                if m[k][a].is_zero():
+                    continue
+                f = m[k][a] * c
+                for l in live:
+                    m[k][l] = m[k][l] - f * m[b][l]
+    return rank, psd
 
 
 def gram_matrix(w: Word, max_boxes: int) -> GramResult:
@@ -428,4 +419,4 @@ def gram_matrix(w: Word, max_boxes: int) -> GramResult:
             matrix[i][j] = val
             matrix[j][i] = val.conj()
     grid = tuple(tuple(row) for row in matrix)
-    return GramResult(grid, _rank(grid), _is_psd(grid), n)
+    return GramResult(grid, *_rank_and_psd(grid), n)

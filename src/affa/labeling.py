@@ -7,7 +7,8 @@ strands by the generator u of a cyclic group (crossing left-to-right
 relative to the arrow).  The outermost region of each component gets the
 identity.  Each box then reads an integer off the label of the region
 its star corner sits in, and the diagram's value is the declared root of
-unity raised to the sum of those integers.
+unity raised to the sum of those integers.  The labels come from
+`diagram.walk_faces`, which fails if a region would get two labels.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from affa.cyclotomic import Cyclo
-from affa.diagram import Diagram, Morphism
+from affa.diagram import Diagram, Morphism, walk_faces
 from affa.theory import (
     BoxKind,
-    InvariantBreach,
     Label,
     ORIENTED_LABELS,
     Theory,
@@ -128,10 +128,9 @@ def regions(d: Diagram) -> list[list]:
 
 def _crossing(theory: Theory, s, face_of,
               ident: GroupElement) -> list[tuple[int, int, GroupElement]]:
-    """(from_face, to_face, right multiplier) entries for one strand."""
-    fa, fb = face_of[s.a], face_of[s.b]
-    if fa == fb:
-        raise InvariantBreach("strand with one face on both sides")
+    """(from_face, to_face, right multiplier) entries for one strand.  No
+    multiplier is the identity, so `walk_faces` rejects a strand with one
+    face on both sides."""
     if s.dir:
         src = s.a if s.dir == +1 else s.b
         # Free loops are canonicalized to dir +1 with the circulation kept
@@ -146,6 +145,7 @@ def _crossing(theory: Theory, s, face_of,
         gen = ident.times_r()
     else:
         gen = ident.times_b()
+    fa, fb = face_of[s.a], face_of[s.b]
     return [(fa, fb, gen), (fb, fa, gen)]
 
 
@@ -160,33 +160,13 @@ def label_regions(d: Diagram, start_face: int | None = None) -> RegionLabeling:
     dihedral, order = d.theory.labeling_group()
     ident = GroupElement.identity(dihedral, order)
     faces = regions(d)
-    if not d.strands:
-        return RegionLabeling(tuple(tuple(f) for f in faces), {0: ident})
-    _, face_of = d.face_index()
-    adj: dict[int, list[tuple[int, GroupElement]]] = {
-        i: [] for i in range(len(faces))}
-    for s in d.strands:
-        for src, dst, mult in _crossing(d.theory, s, face_of, ident):
-            adj[src].append((dst, mult))
-    labels: dict[int, GroupElement] = {}
-    starts = ([start_face] if start_face is not None else []) \
-        + list(range(len(faces)))
-    for f0 in starts:
-        if f0 in labels:
-            continue
-        labels[f0] = ident
-        queue = [f0]
-        while queue:
-            f = queue.pop()
-            for g, mult in adj[f]:
-                want = labels[f] * mult
-                if g not in labels:
-                    labels[g] = want
-                    queue.append(g)
-                elif labels[g] != want:
-                    raise InvariantBreach(
-                        "inconsistent region labeling: planarity bug")
-    return RegionLabeling(tuple(tuple(f) for f in faces), labels)
+    face_of = {e: fi for fi, f in enumerate(faces) for e in f}
+    labels, _ = walk_faces(
+        len(faces),
+        [c for s in d.strands for c in _crossing(d.theory, s, face_of, ident)],
+        ident, () if start_face is None else (start_face,))
+    return RegionLabeling(tuple(tuple(f) for f in faces),
+                          dict(enumerate(labels)))
 
 
 def _box_ell(g: GroupElement, kind: BoxKind) -> int:

@@ -95,6 +95,17 @@ def test_eval_batch_ordered_and_reports_errors(tmp_path, bad):
     assert "error" in rows[1]
 
 
+def test_dangling_anchor_endpoint_is_named(tmp_path):
+    strand = {"a": {"bnd": "bottom", "i": 0}, "b": {"anchor": 0, "side": 0},
+              "label": "Plain", "dir": 0}
+    src = tmp_path / "batch.jsonl"
+    src.write_text(_bad_line(_term(strands=[strand])))
+    out = tmp_path / "batch.out"
+    assert run(["eval", "--batch", str(src), "--out", str(out)]) == 1
+    (row,) = [json.loads(ln) for ln in out.read_text().splitlines()]
+    assert "anchor 0 side 0" in row["error"]
+
+
 def test_invariant_breach_on_one_batch_line_keeps_the_others(
         tmp_path, monkeypatch):
     import affa.evaluate

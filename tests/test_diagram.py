@@ -8,11 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affa.cyclotomic import Cyclo, root_power
-from affa.diagram import Diagram, Morphism, Strand, anchor, bnd, boxleg
+from affa.diagram import (
+    Diagram,
+    Morphism,
+    Strand,
+    anchor,
+    bnd,
+    boxleg,
+    walk_faces,
+)
 from affa.theory import (
     SPECS,
     BoxKind,
     Family,
+    InvariantBreach,
     Label,
     Theory,
     box_kinds,
@@ -59,6 +68,15 @@ def test_bare_box_face_count():
         for kind in box_kinds(th):
             d = the_diagram(Morphism.generator(th, kind))
             assert len(d.faces()) == leg_count(th, kind)
+
+
+def test_walk_faces_labels_roots_and_clashes():
+    # faces 0-1-2 in a row and face 3 alone; face 2 leads its component
+    path = [(0, 1, -1), (1, 0, -1), (1, 2, -1), (2, 1, -1)]
+    assert walk_faces(4, path, 1) == ([1, -1, 1, 1], [0, 0, 0, 3])
+    assert walk_faces(4, path, 1, first=(2,)) == ([1, -1, 1, 1], [2, 2, 2, 3])
+    with pytest.raises(InvariantBreach, match="two labels"):
+        walk_faces(3, path + [(0, 2, -1)], 1)
 
 
 def test_crossing_is_rejected():

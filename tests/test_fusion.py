@@ -189,6 +189,21 @@ def test_non_real_pivot_is_an_invariant_breach():
         _positive_real(root_power(4, 1))
 
 
+@pytest.mark.parametrize("rows, expected", [
+    ([[0, 1], [1, 0]], (2, False)),                    # a 2x2 pivot
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (3, False)),   # 2x2, then -2
+    ([[1, 0], [0, -1]], (2, False)),
+    ([[1, 1], [1, 1]], (1, True)),
+    ([[0] * 3] * 3, (0, True)),
+])
+def test_rank_and_psd_off_the_gram_path(rows, expected):
+    # no Gram matrix reaches a negative or a 2x2 pivot
+    from affa.cyclotomic import Cyclo
+    from affa.fusion import _rank_and_psd
+    matrix = [[Cyclo.from_fraction(x) for x in row] for row in rows]
+    assert _rank_and_psd(matrix) == expected
+
+
 @settings(max_examples=25, deadline=None)
 @given(bits=st.lists(st.booleans(), min_size=0, max_size=6),
        th=st.sampled_from([SH2, AR2, AE2, CO2]))
@@ -247,7 +262,8 @@ def test_shading_parity_rule_matches_face_parities():
     # meeting slots 0..k-1 in descending order from `shift`, the star
     # corner's region has parity (shift - rot) % 2 relative to the outer
     # region; check that against the 2-colouring of the faces
-    from affa.diagram import Diagram, Strand, bnd, boxleg, leg_to_boundary
+    from affa.diagram import (Diagram, Strand, bnd, boxleg, leg_to_boundary,
+                              walk_faces)
     from affa.theory import leg_count
     shaded = [th for th in rooted_theories(4)
               if th.is_shaded() and th.root_order == 1]
@@ -268,7 +284,10 @@ def test_shading_parity_rule_matches_face_parities():
                                      [(kind, rot)], strands)
                     assert d.validate() == []
                     faces, face_of = d.face_index()
-                    parity = d._face_parities(faces, face_of)
+                    sign, _ = walk_faces(len(faces), [
+                        (face_of[e], face_of[s.other(e)], -1)
+                        for s in d.strands for e in (s.a, s.b)], 1)
+                    parity = [int(x < 0) for x in sign]
                     star = parity[face_of[d.star_face_endpoint(0)]]
                     outer = parity[face_of[bnd("top", k - 1)]]
                     assert star ^ outer == (shift - rot) % 2
