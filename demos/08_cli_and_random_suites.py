@@ -4,7 +4,7 @@ Every library capability is exposed as an `affa` subcommand with JSON
 output; random closed diagrams are deterministic in the seed and power
 the oracle-equivalence self-test."""
 
-import json
+import os
 import tempfile
 
 from affa.cli import run
@@ -18,12 +18,12 @@ print("seeded draw: ", len(d.boxes), "boxes,", len(d.strands), "strands")
 print("same seed again is identical:",
       d == random_closed(th, max_boxes=4, max_loops=1, seed=11))
 
-with tempfile.NamedTemporaryFile("wb", suffix=".json", delete=False) as fh:
-    fh.write(Morphism.from_diagram(d).serialize())
-    path = fh.name
-
-print("\n$ affa eval --in", path)
-run(["eval", "--in", path])
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "draw.json")
+    with open(path, "wb") as fh:
+        fh.write(Morphism.from_diagram(d).serialize())
+    print("\n$ affa eval --in", os.path.basename(path))
+    run(["eval", "--in", path])
 
 print("\n$ affa classify --family a-even --n 1")
 run(["classify", "--family", "a-even", "--n", "1"])

@@ -8,7 +8,9 @@ and the eigenvalue of the one-notch rotation on the generator box is the
 declared root, unchanged by either of the two possible generator
 relabelings.  Isomorphism testing therefore reduces to comparing these
 invariants, with the eigenvalue recomputed through the evaluator rather
-than read off the declaration.
+than read off the declaration.  Classifying a family computes one
+eigenvalue per presentation and compares it with those of the classes
+found so far.
 """
 
 from __future__ import annotations
@@ -96,11 +98,28 @@ def are_isomorphic(t1: Theory, t2: Theory) -> tuple[bool, str]:
     return True, "matching duality type and click eigenvalue"
 
 
+def classify_presentations(family: str, n: int | None = None
+                           ) -> list[tuple[Theory, Cyclo | None, int]]:
+    """Each of the family's presentations with its click eigenvalue (None
+    when box-free) and its isomorphism class, classes numbered in order of
+    first appearance.
+
+    One eigenvalue is computed per presentation and compared against the
+    class representatives by `are_isomorphic`'s test."""
+    rows = []
+    reps: list[tuple[tuple, Cyclo | None]] = []
+    for th in enumerate_presentations(family, n):
+        eig = click_eigenvalue(th) if box_kinds(th) else None
+        key = (_duality_case(th), th.n, th.family)
+        cls = next((c for c, (k, e) in enumerate(reps)
+                    if k == key and e == eig), None)
+        if cls is None:
+            cls = len(reps)
+            reps.append((key, eig))
+        rows.append((th, eig, cls))
+    return rows
+
+
 def count_classes(family: str, n: int | None = None) -> int:
     """Number of isomorphism classes among the family's presentations."""
-    theories = enumerate_presentations(family, n)
-    reps: list[Theory] = []
-    for th in theories:
-        if not any(are_isomorphic(th, r)[0] for r in reps):
-            reps.append(th)
-    return len(reps)
+    return len({cls for _, _, cls in classify_presentations(family, n)})

@@ -217,24 +217,13 @@ def _cmd_functor_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from affa.classify import (are_isomorphic, click_eigenvalue,
-                               enumerate_presentations)
-    theories = enumerate_presentations(args.family, args.n)
-    reps: list = []
-    table = []
-    for th in theories:
-        cls = next((c for c, r in enumerate(reps)
-                    if are_isomorphic(th, r)[0]), None)
-        if cls is None:
-            cls = len(reps)
-            reps.append(th)
-        try:
-            eig = repr(click_eigenvalue(th))
-        except ValueError:
-            eig = None
-        table.append({"theory": th.to_json(), "eigenvalue": eig,
-                      "class": cls})
-    _emit_json(args, {"table": table, "count": len(reps)})
+    from affa.classify import classify_presentations
+    rows = classify_presentations(args.family, args.n)
+    table = [{"theory": th.to_json(),
+              "eigenvalue": None if eig is None else repr(eig),
+              "class": cls} for th, eig, cls in rows]
+    _emit_json(args, {"table": table,
+                      "count": len({cls for _, _, cls in rows})})
     return 0
 
 

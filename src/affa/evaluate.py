@@ -6,13 +6,15 @@ loops is first split into p+1 terms (the first j loops in the first
 color and the rest in the second, times C(p, j)).  Each resulting term
 is reduced box pair by box pair: the lowest-numbered live box is rotated
 until a strand to a second box leaves its first position (each notch of
-rotation applies a click relation and collects its scalar cost), the
-partner box is rotated to face it, the remaining parallel strands are
-reconnected across the pair (saddle relations, free), and the two boxes
--- at that point an adjoint pair -- cancel by the unitary relation.
-Free loops pop at factor one.  The measure (live boxes, free loops)
-strictly decreases at every cancellation and pop, which is checked (an
-InvariantBreach otherwise, also under `python -O`).
+rotation applies a click relation, whose cost is a power of the root),
+the partner box is rotated to face it, the remaining parallel strands
+are reconnected across the pair (saddle relations, free), and the two
+boxes -- at that point an adjoint pair -- cancel by the unitary
+relation.  Free loops pop at factor one.  So a term's value is the root
+raised to the sum of its click exponents: the walk adds integers, and
+each term builds one scalar at the end.  The measure (live boxes, free
+loops) strictly decreases at every cancellation and pop, which is
+checked (an InvariantBreach otherwise, also under `python -O`).
 
 Diagrams of the two source categories are evaluated through their image
 in the oriented-strand theory; see `affa.equiv`.
@@ -95,18 +97,20 @@ def morphism_eq(f: Morphism, g: Morphism) -> bool:
 # -- the rewriting loop ----------------------------------------------------
 
 def _click_to(theory: Theory, boxes: list, b: int, leg: int,
-              target: int) -> tuple[Cyclo, int]:
+              target: int) -> tuple[int, int]:
     """Rotate box b so that physical leg `leg` sits at intrinsic position
-    `target`; returns the collected click scalar and the notch count."""
+    `target`; returns the exponent of the root the clicks cost (the sum
+    of their click-table exponents) and the notch count."""
     kind, rot = boxes[b]
     k = leg_count(theory, kind)
     steps = ((leg - target) - rot) % k
-    scalar = Cyclo.one()
+    clicks = theory.spec.clicks
+    exp = 0
     for _ in range(steps):
-        kind, cost = click_rewrite(theory, kind, CLICK_DIR)
-        scalar = scalar * cost
+        kind, e = clicks[kind, CLICK_DIR]
+        exp += e
     boxes[b] = (kind, (rot + steps) % k)
-    return scalar, steps
+    return exp, steps
 
 
 def _eval_term(d: Diagram) -> tuple[Cyclo, int]:
@@ -121,7 +125,7 @@ def _eval_term(d: Diagram) -> tuple[Cyclo, int]:
             conn[(s.b[1], s.b[2])] = (s.a[1], s.a[2])
     boxes = list(d.boxes)
     live = set(range(len(boxes)))
-    scalar = Cyclo.one()
+    exp = 0
     steps = 0
     measure = (len(live), nloops)
     while live:
@@ -142,11 +146,11 @@ def _eval_term(d: Diagram) -> tuple[Cyclo, int]:
             # chord joining two adjacent legs, which no box allows
             raise InvariantBreach("box whose strands all return to it")
         B, legB = conn[(A, legA)]
-        c, st = _click_to(th, boxes, A, legA, 0)
-        scalar, steps = scalar * c, steps + st
+        e, st = _click_to(th, boxes, A, legA, 0)
+        exp, steps = exp + e, steps + st
         kindA, rotA = boxes[A]
-        c, st = _click_to(th, boxes, B, legB, k - 1)
-        scalar, steps = scalar * c, steps + st
+        e, st = _click_to(th, boxes, B, legB, k - 1)
+        exp, steps = exp + e, steps + st
         kindB, rotB = boxes[B]
         if leg_count(th, kindB) != k:
             raise InvariantBreach("paired boxes of unequal size")
@@ -192,7 +196,7 @@ def _eval_term(d: Diagram) -> tuple[Cyclo, int]:
         if not now < measure:
             raise InvariantBreach("evaluation measure failed to decrease")
         measure, nloops = now, nloops - 1
-    return scalar, steps
+    return th.root_pow(exp), steps
 
 
 # -- defining relations ----------------------------------------------------

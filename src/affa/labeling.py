@@ -184,7 +184,7 @@ def term_exponent(d: Diagram) -> tuple[RegionLabeling, int]:
     strands, and the exponent of the root it evaluates to: the sum of
     its box star-region integers, reduced mod the group order."""
     lab = label_regions(d)
-    _, face_of = d.face_index()
+    face_of = {e: fi for fi, f in enumerate(lab.faces) for e in f}
     ell = sum(_box_ell(lab.labels[face_of[d.star_face_endpoint(b)]], kind)
               for b, (kind, _) in enumerate(d.boxes))
     return lab, ell % d.theory.group_order()
@@ -201,5 +201,5 @@ def invariant(m: Morphism) -> Cyclo:
         if not d.boxes:
             total = total + c
             continue
-        total = total + c * m.theory.root() ** term_exponent(d)[1]
+        total = total + c * m.theory.root_pow(term_exponent(d)[1])
     return total

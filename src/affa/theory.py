@@ -287,6 +287,12 @@ class Theory:
         """The chosen root of unity (sigma / omega / tau / zeta)."""
         return root_power(self.root_order, self.root_exp)
 
+    def root_pow(self, k: int) -> Cyclo:
+        """The chosen root raised to k.  A power equal to one is the
+        order-1 one, so rational sums stay in Q instead of Q(zeta)."""
+        e = k * self.root_exp % self.root_order
+        return root_power(self.root_order, e) if e else Cyclo.one()
+
     def is_oriented(self) -> bool:
         return self.spec.oriented
 

@@ -1,7 +1,9 @@
 import pytest
 
+from affa import classify
 from affa.classify import (
     are_isomorphic,
+    classify_presentations,
     click_eigenvalue,
     count_classes,
     enumerate_presentations,
@@ -38,6 +40,27 @@ def test_enumerated_presentations_are_distinct_theories():
     ("unshaded-a-inf", None, 2)])
 def test_count_classes(family, n, expected):
     assert count_classes(family, n) == expected
+
+
+@pytest.mark.parametrize("family,n", [
+    ("shaded-a-odd", 4), ("unshaded-a-odd", 3), ("a-even", 2)])
+def test_count_classes_computes_one_eigenvalue_per_presentation(
+        family, n, monkeypatch):
+    calls = []
+    real = classify.click_eigenvalue
+    monkeypatch.setattr(classify, "click_eigenvalue",
+                        lambda th: calls.append(th) or real(th))
+    count_classes(family, n)
+    assert calls == enumerate_presentations(family, n)
+
+
+@pytest.mark.parametrize("family,n", [
+    ("unshaded-a-odd", 2), ("a-even", 2), ("unshaded-a-inf", None)])
+def test_single_pass_classes_match_pairwise_isomorphism(family, n):
+    rows = classify_presentations(family, n)
+    for t1, _, c1 in rows:
+        for t2, _, c2 in rows:
+            assert are_isomorphic(t1, t2)[0] == (c1 == c2)
 
 
 def test_click_eigenvalue_recovers_the_declared_root():

@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 
+from affa import equiv
 from affa.cyclotomic import Cyclo, root_power
 from affa.diagram import Morphism
 from affa.equiv import (
@@ -41,6 +44,44 @@ def test_cocycle_carry_values():
 def test_cocycle_identity_all_roots(m):
     for e in range(m):
         assert check_cocycle(CocycleSpec(m, root_power(m, e)))
+
+
+def _cyclo_identity(spec):
+    """The 3-cocycle identity on `Cyclo` products of `cocycle` values: the
+    reference the exponent check must agree with."""
+    m, w = spec.m, cocycle
+    return all(w(spec, (a + b) % m, c, d) * w(spec, a, b, (c + d) % m)
+               == w(spec, a, b, c) * w(spec, a, (b + c) % m, d)
+               * w(spec, b, c, d)
+               for a, b, c, d in product(range(m), repeat=4))
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_exponent_check_agrees_with_cyclo_identity(m):
+    for e in range(m):
+        # zeta given in order m and in the larger order 2m
+        for zeta in (root_power(m, e), root_power(2 * m, 2 * e)):
+            spec = CocycleSpec(m, zeta)
+            assert spec.zeta_exp == e
+            assert check_cocycle(spec) == _cyclo_identity(spec)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_exponent_check_sees_a_perturbed_carry(m, monkeypatch):
+    # at m = 2 the carry cocycle is the indicator of (1, 1, 1) itself, so
+    # adding it again leaves a cocycle; m >= 3 must fail
+    carry = equiv._carry
+    monkeypatch.setattr(equiv, "_carry", lambda m, i, j, k:
+                        carry(m, i, j, k) + ((i, j, k) == (1, 1, 1)))
+    spec = CocycleSpec(m, root_power(m, 1))
+    assert not check_cocycle(spec)
+    assert not _cyclo_identity(spec)
+
+
+def test_cocycle_spec_exponent_is_not_part_of_its_value():
+    spec = CocycleSpec(2, root_power(2, 1))
+    assert spec == CocycleSpec(2, root_power(4, 2))
+    assert repr(spec) == f"CocycleSpec(m=2, zeta={root_power(2, 1)!r})"
 
 
 def test_image_theory_parity_and_conjugate_root():

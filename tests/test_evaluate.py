@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from affa.cyclotomic import Cyclo
 from affa.diagram import Morphism
 from affa.evaluate import (
+    CLICK_DIR,
+    _click_to,
     defining_relations,
     eval_closed,
     eval_with_steps,
@@ -20,7 +22,8 @@ from affa.evaluate import (
 )
 from affa.labeling import invariant
 from affa.testgen import random_closed
-from affa.theory import BoxKind, Family, Label, Theory, box_kinds
+from affa.theory import (BoxKind, Family, Label, Theory, box_kinds,
+                         click_rewrite, leg_count, rooted_theories)
 
 
 SH2 = Theory(Family.SHADED_AODD, 2, 2, 1)
@@ -80,6 +83,37 @@ def test_click_eigenvalue_is_the_root(th):
     target, _ = click_rewrite(th, kind, +1)
     h = Morphism.generator(th, target)
     assert inner_product(h, g.click(1)) == th.root()
+
+
+@pytest.mark.parametrize("th", rooted_theories(3),
+                         ids=lambda t: f"{t.family.value}-n{t.n}-"
+                                       f"e{t.root_exp}o{t.root_order}")
+def test_click_walk_exponent_matches_click_costs(th):
+    for kind in box_kinds(th):
+        k = leg_count(th, kind)
+        for notches in range(k):
+            boxes = [(kind, 0)]
+            exp, steps = _click_to(th, boxes, 0, notches, 0)
+            want, cost = kind, Cyclo.one()
+            for _ in range(notches):
+                want, c = click_rewrite(th, want, CLICK_DIR)
+                cost = cost * c
+            assert (steps, boxes[0]) == (notches, (want, notches))
+            assert th.root_pow(exp) == cost
+
+
+def test_clicks_that_cancel_give_the_rational_one():
+    # tr(h* F^3 g) for the U box at n = 2 and root -1 collects clicks whose
+    # exponents cancel; its value is the order-1 one, as for a click-free
+    # term, so rational sums of such terms stay in Q
+    th = Theory(Family.SHADED_AODD, 2, 2, 1)
+    h = BoxKind.U
+    for _ in range(3):
+        h, _ = click_rewrite(th, h, +1)
+    m = Morphism.generator(th, h).adjoint().compose(
+        Morphism.generator(th, BoxKind.U).click(3)).trace_close("right")
+    value, steps = eval_with_steps(m)
+    assert steps > 0 and value == Cyclo.one() and value.order == 1
 
 
 @pytest.mark.parametrize("th", all_rooted(2),
