@@ -26,8 +26,11 @@ pair become one.  Composing a after b moves b's top points past a's top
 and a's bottom points past b's bottom, then pairs b's top point i with
 a's bottom point i; trace closure pairs bottom point i with top point i.
 A walk between two kept endpoints becomes one strand; a closed walk
-becomes a free loop on a new anchor.  A Morphism sums the coefficients
-of repeated diagrams itself, so each operation just lists its terms.
+becomes a free loop.  Only `Diagram.make` numbers and names free loops:
+the operations hand it loop strands on any anchor, and it puts each
+loop on its own anchor, in label order.  A Morphism sums the
+coefficients of repeated diagrams itself, so each operation just lists
+its terms.
 """
 
 from __future__ import annotations
@@ -276,28 +279,19 @@ class Diagram:
              boxes: Sequence[tuple[BoxKind, int]],
              strands: Iterable[Strand]) -> "Diagram":
         """Canonical constructor: normalizes box rotations mod leg count,
-        renumbers anchors deterministically (their count is the number of
-        anchors the strands use), canonicalizes loop strands, sorts
-        strands."""
+        sorts strands, and numbers and names the free loops.  Every strand
+        between anchor slots is a loop, whatever anchor ids it carries; a
+        loop flowing from slot 1 to slot 0 takes its dual label, and the
+        loops go on anchors 0..k-1 sorted by (label, dir)."""
         boxes = tuple((k, r % leg_count(theory, k)) for k, r in boxes)
-        strands = list(strands)
-        # Canonicalize anchor loops: flow always slot 0 -> slot 1.
-        for i, s in enumerate(strands):
-            if s.a[0] == "anchor" and s.b[0] == "anchor" and s.dir == -1:
-                strands[i] = Strand(s.a, s.b, dual_label(s.label), +1)
-        # Renumber anchors deterministically by (label, dir, old index).
-        loops = sorted((s for s in strands if s.a[0] == "anchor"),
-                       key=lambda s: (s.label.value, s.dir, s.a[1]))
-        remap: dict[int, int] = {}
-        for s in loops:
-            if s.a[1] not in remap:
-                remap[s.a[1]] = len(remap)
-        out = []
+        out, loops = [], []
         for s in strands:
-            ea = anchor(remap[s.a[1]], s.a[2]) if s.a[0] == "anchor" else s.a
-            eb = anchor(remap[s.b[1]], s.b[2]) if s.b[0] == "anchor" else s.b
-            out.append(Strand(ea, eb, s.label, s.dir)
-                       if (ea, eb) != (s.a, s.b) else s)
+            if s.a[0] == "anchor" and s.b[0] == "anchor":
+                loops.append((dual_label(s.label), +1) if s.dir == -1
+                             else (s.label, s.dir))
+            else:
+                out.append(s)
+        loops.sort(key=lambda ld: (ld[0].value, ld[1]))
         order = _canonical_box_order(
             Diagram(theory, tuple(bottom), tuple(top), boxes, 0, tuple(out)))
         if order is not None and order != list(range(len(boxes))):
@@ -307,9 +301,11 @@ class Diagram:
                 boxleg(old_to_new[s.a[1]], s.a[2]) if s.a[0] == "box" else s.a,
                 boxleg(old_to_new[s.b[1]], s.b[2]) if s.b[0] == "box" else s.b,
                 s.label, s.dir) for s in out]
+        out += [Strand(anchor(i, 0), anchor(i, 1), lab, dir)
+                for i, (lab, dir) in enumerate(loops)]
         out.sort(key=lambda s: (_ep_key(s.a), _ep_key(s.b)))
         return Diagram(theory, tuple(bottom), tuple(top), boxes,
-                       len(remap), tuple(out))
+                       len(loops), tuple(out))
 
     # -- structural helpers -------------------------------------------
     def endpoint_map(self) -> dict[Endpoint, Strand]:
@@ -577,11 +573,19 @@ class Diagram:
             declared = int(obj["anchors"]) if "anchors" in obj else None
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed diagram: {exc}") from None
+        # make renumbers loops, so it would silently repair these two
+        looped: set[int] = set()
         for s in strands:
             for e in (s.a, s.b):
-                if e[0] == "anchor" and s.other(e)[:2] != e[:2]:
+                if e[0] == "anchor" and \
+                        (s.a, s.b) != (anchor(e[1], 0), anchor(e[1], 1)):
                     raise ValueError(f"anchor {e[1]} side {e[2]} is not on "
-                                     f"a loop around anchor {e[1]}")
+                                     f"a loop from side 0 to side 1 of "
+                                     f"anchor {e[1]}")
+            if s.a[0] == "anchor":
+                if s.a[1] in looped:
+                    raise ValueError(f"anchor {s.a[1]} holds two loops")
+                looped.add(s.a[1])
         d = Diagram.make(th, bottom, top, boxes, strands)
         if declared not in (None, d.n_anchors):
             raise ValueError(f"{declared} anchors declared, but the strands "
@@ -800,9 +804,23 @@ class Morphism:
         if not isinstance(terms, list):
             raise ValueError("terms must be a list")
         one = {"order": 1, "coeffs": ["1"]}
+        bound = th.root_bound() if th.spec.root_bound else 1
+
+        def coeff(obj) -> Cyclo:
+            # Cyclo builds one entry per unit of order, so a huge order is
+            # refused before it is built; a malformed one is left to
+            # Cyclo.from_json to name
+            try:
+                order = int(obj["order"])
+            except (KeyError, TypeError, ValueError, OverflowError):
+                order = 1
+            if order > 0 and bound % order:
+                raise ValueError(f"scalar order {order} does not divide "
+                                 f"the theory's root bound {bound}")
+            return Cyclo.from_json(obj)
+
         return Morphism(th, bottom, top,
-                        ((Diagram.from_json(t),
-                          Cyclo.from_json(t.get("coeff", one)))
+                        ((Diagram.from_json(t), coeff(t.get("coeff", one)))
                          for t in terms))
 
 
@@ -810,39 +828,42 @@ class Morphism:
 # diagram-level operation internals
 # ---------------------------------------------------------------------------
 
-def _offset_endpoint(e: Endpoint, dbox: int, danchor: int, dbot: int,
+def _offset_endpoint(e: Endpoint, dbox: int, dbot: int,
                      dtop: int) -> Endpoint:
+    """e with its box index and boundary position shifted; anchor
+    endpoints pass through, as `Diagram.make` renumbers loops."""
     if e[0] == "box":
         return boxleg(e[1] + dbox, e[2])
     if e[0] == "anchor":
-        return anchor(e[1] + danchor, e[2])
+        return e
     if e[1] == "bottom":
         return bnd("bottom", e[2] + dbot)
     return bnd("top", e[2] + dtop)
 
 
-def _offset_strand(s: Strand, dbox: int, danchor: int, dbot: int,
-                   dtop: int) -> Strand:
-    return Strand(_offset_endpoint(s.a, dbox, danchor, dbot, dtop),
-                  _offset_endpoint(s.b, dbox, danchor, dbot, dtop),
-                  s.label, s.dir)
+def _offset_strand(s: Strand, dbox: int, dbot: int, dtop: int) -> Strand:
+    return Strand(_offset_endpoint(s.a, dbox, dbot, dtop),
+                  _offset_endpoint(s.b, dbox, dbot, dtop), s.label, s.dir)
 
 
 def _tensor_diagrams(a: Diagram, b: Diagram) -> Diagram:
     strands = list(a.strands)
-    strands += [_offset_strand(s, len(a.boxes), a.n_anchors, len(a.bottom),
-                               len(a.top)) for s in b.strands]
+    strands += [_offset_strand(s, len(a.boxes), len(a.bottom), len(a.top))
+                for s in b.strands]
     return Diagram.make(a.theory, a.bottom + b.bottom, a.top + b.top,
                         a.boxes + b.boxes, strands)
 
 
 def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
             boxes: Sequence[tuple[BoxKind, int]], strands: Sequence[Strand],
-            n_anchors: int,
             pairs: Sequence[tuple[Endpoint, Endpoint]]) -> Diagram | None:
     """Join strands through each pair of boundary points, which leave the
     boundary; the other endpoints keep their names.  A walk between two
-    kept endpoints becomes one strand, a closed walk a new anchor loop.
+    kept endpoints becomes one strand, a closed walk a loop strand on
+    anchor 0, which `Diagram.make` numbers and names; free loops already
+    in `strands` pass through whatever their anchor ids.  A closed walk
+    starts at its loop's lowest pair and is recorded by its flow there:
+    dir +1 when it flows as the theory's `up` colour would, else -1.
     None (the zero term) on a label or flow disagreement along a walk or
     a checkerboard clash in the result."""
     link: dict[Endpoint, Endpoint] = {}
@@ -855,9 +876,9 @@ def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
 
     def walk(e: Endpoint):
         """Follow strands from e to a kept endpoint, or back to e (end
-        None): (end, unoriented label, flow along the walk, the first
-        oriented strand's (entry, flow)), or None on a disagreement."""
-        label, flow, first = None, 0, None
+        None): (end, unoriented label, flow along the walk), or None on a
+        disagreement."""
+        label, flow = None, 0
         while id(at[e]) not in done:
             s = at[e]
             done.add(id(s))
@@ -865,16 +886,16 @@ def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
                 f = s.flow_at(e)
                 if flow and flow != f:
                     return None
-                flow, first = f, first or (e, f)
+                flow = f
             elif s.label is not Label.PLAIN:
                 if label not in (None, s.label):
                     return None
                 label = s.label
             x = s.other(e)
             if x not in link:
-                return x, label, flow, first
+                return x, label, flow
             e = link[x]
-        return None, label, flow, first
+        return None, label, flow
 
     out: list[Strand] = []
     for s in strands:
@@ -887,31 +908,26 @@ def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
         got = walk(e)
         if got is None:
             return None
-        end, label, flow, _ = got
+        end, label, flow = got
         if flow:
             src = e if flow == SRC else end
             out.append(Strand(e, end, _object_at(theory, boxes, src, SRC),
                               flow))
         else:
             out.append(Strand(e, end, label or Label.PLAIN, 0))
-    up, down = plain_expansion(theory)
-    na = n_anchors
+    up = plain_expansion(theory)[0]
     for x, _ in pairs:
         if id(at[x]) in done:
             continue
         got = walk(x)
         if got is None:
             return None
-        _, label, flow, first = got
+        _, label, flow = got
         if flow:
-            # a loop is named by its first oriented strand: `up` when that
-            # strand flows at its entry as an up strand would there
-            entry, f = first
-            lab, dir = (up if f == boundary_flow(up, entry[1]) else down), +1
+            lab, dir = up, (+1 if flow == boundary_flow(up, x[1]) else -1)
         else:
             lab, dir = label or Label.PLAIN, 0
-        out.append(Strand(anchor(na, 0), anchor(na, 1), lab, dir))
-        na += 1
+        out.append(Strand(anchor(0, 0), anchor(0, 1), lab, dir))
     d = Diagram.make(theory, bottom, top, boxes, out)
     if theory.is_shaded() and d.boxes:
         faces, face_of = d.face_index()
@@ -928,17 +944,15 @@ def _glue(a: Diagram, b: Diagram) -> Diagram | None:
         if lb is not Label.PLAIN and la is not Label.PLAIN and lb != la:
             return None
     p, q = len(b.bottom), len(a.top)
-    strands = [_offset_strand(s, 0, 0, 0, q) for s in b.strands]
-    strands += [_offset_strand(s, len(b.boxes), b.n_anchors, p, 0)
-                for s in a.strands]
+    strands = [_offset_strand(s, 0, 0, q) for s in b.strands]
+    strands += [_offset_strand(s, len(b.boxes), p, 0) for s in a.strands]
     return _splice(a.theory, b.bottom, a.top, b.boxes + a.boxes, strands,
-                   a.n_anchors + b.n_anchors,
                    [(bnd("top", q + i), bnd("bottom", p + i))
                     for i in range(len(b.top))])
 
 
 def _trace_diagram(d: Diagram) -> Diagram | None:
-    return _splice(d.theory, (), (), d.boxes, d.strands, d.n_anchors,
+    return _splice(d.theory, (), (), d.boxes, d.strands,
                    [(bnd("bottom", i), bnd("top", i))
                     for i in range(len(d.bottom))])
 
@@ -1008,8 +1022,14 @@ def _click_boundary(bottom: Sequence[Label], top: Sequence[Label],
 
 def _click_diagram(d: Diagram, steps: int) -> Diagram:
     newb, newt, moves = _click_boundary(d.bottom, d.top, steps)
-    strands = [Strand(moves.get(s.a, s.a), moves.get(s.b, s.b),
-                      s.label, s.dir) for s in d.strands]
+    strands = []
+    for s in d.strands:
+        a, b, lab = moves.get(s.a, s.a), moves.get(s.b, s.b), s.label
+        if s.dir and a[0] != "anchor":
+            # an oriented strand carries the object at its source, which
+            # changes when the source moves to the other row
+            lab = _object_at(d.theory, d.boxes, a if s.dir == +1 else b, SRC)
+        strands.append(Strand(a, b, lab, s.dir))
     return Diagram.make(d.theory, newb, newt, d.boxes, strands)
 
 

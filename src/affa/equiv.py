@@ -207,23 +207,16 @@ def check_functor(which: str, m: int, zeta_exp: int = 0) -> dict:
     for name, lhs, rhs in defining_relations(th):
         ok = morphism_eq(image(lhs), image(rhs))
         report["relations"].append({"name": name, "ok": ok})
-    if trivial:
-        for word in _source_words(th, 2 * m):
-            report["hom_dims"].append(
-                {"word": [l.value for l in word],
-                 "source": _source_hom_dim(th, word), "target": 1,
-                 "ok": _source_hom_dim(th, word) == 1})
-    else:
+    if not trivial:
         from affa.fusion import Word, hom_dim
         tgt = image_theory(th)
-        empty = Word(tgt, ())
-        for word in _source_words(th, 2 * m):
-            src_dim = _source_hom_dim(th, word)
-            tgt_dim = hom_dim(empty,
-                              Word(tgt, tuple(_LABEL_MAP[l] for l in word)))
-            report["hom_dims"].append(
-                {"word": [l.value for l in word], "source": src_dim,
-                 "target": tgt_dim, "ok": src_dim == tgt_dim})
+    for word in _source_words(th, 2 * m):
+        src_dim = _source_hom_dim(th, word)
+        tgt_dim = 1 if trivial else hom_dim(
+            Word(tgt, ()), Word(tgt, tuple(_LABEL_MAP[l] for l in word)))
+        report["hom_dims"].append(
+            {"word": [l.value for l in word], "source": src_dim,
+             "target": tgt_dim, "ok": src_dim == tgt_dim})
     gen_kind = (BoxKind.SCRIPT_U if which == "vec" else BoxKind.NCUP_MINUS)
     gen = Morphism.generator(th, gen_kind)
     report["nontrivial"] = \

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,16 @@ def _anchor_end(doc):
     doc["terms"][0]["strands"][0]["a"]["anchor"] = "BIG"
 
 
+def _same_slot_loop(doc):
+    doc["terms"][0]["strands"][0]["b"]["side"] = 0
+
+
+def _two_loops_on_one_anchor(doc):
+    term = doc["terms"][0]
+    term["strands"] *= 2
+    del term["anchors"]
+
+
 @pytest.mark.parametrize("bad", [
     "{bad",
     json.dumps(dict(GOOD_LINE, terms=5)),
@@ -76,12 +87,17 @@ def _anchor_end(doc):
     _bad_line(lambda doc: doc["theory"].update(n=True)),
     _bad_line(_term(anchors=5)),
     _bad_line(_term(anchors=0)),
+    _bad_line(_term(coeff={"order": 7, "coeffs": ["0", "1"]})),
+    _bad_line(_same_slot_loop),
+    _bad_line(_two_loops_on_one_anchor),
 ], ids=["bad-json", "terms-not-a-list", "coeff-order-zero",
         "theory-root-not-an-object", "anchors-a-list", "anchors-null",
         "endpoint-anchor-overflows", "coeff-overflows",
         "coeff-order-overflows", "theory-root-order-overflows",
         "anchors-negative", "anchors-beyond-strands", "theory-n-boolean",
-        "anchors-more-than-loops", "anchors-fewer-than-loops"])
+        "anchors-more-than-loops", "anchors-fewer-than-loops",
+        "coeff-order-outside-root-field", "loop-on-one-slot",
+        "two-loops-on-one-anchor"])
 def test_eval_batch_ordered_and_reports_errors(tmp_path, bad):
     good = json.dumps(GOOD_LINE)
     lines = [good, bad, good]
@@ -93,6 +109,22 @@ def test_eval_batch_ordered_and_reports_errors(tmp_path, bad):
     assert [r["index"] for r in rows] == [0, 1, 2]
     assert rows[0]["value"] == "2" and rows[2]["value"] == "2"
     assert "error" in rows[1]
+
+
+def test_huge_scalar_order_is_refused_before_it_is_built(tmp_path):
+    # a scalar of order k is stored as k coefficients, so an order far
+    # beyond the theory's root field must be refused from the number alone
+    line = _bad_line(_term(coeff={"order": 10**8, "coeffs": ["1"]}))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="does not divide"):
+        Morphism.parse(line)
+    assert time.perf_counter() - start < 1.0
+    src = tmp_path / "batch.jsonl"
+    src.write_text(line)
+    out = tmp_path / "batch.out"
+    assert run(["eval", "--batch", str(src), "--out", str(out)]) == 1
+    (row,) = [json.loads(ln) for ln in out.read_text().splitlines()]
+    assert "does not divide" in row["error"]
 
 
 def test_dangling_anchor_endpoint_is_named(tmp_path):

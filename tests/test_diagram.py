@@ -230,25 +230,41 @@ def test_trace_of_identity_is_loops():
 
 
 def test_mixed_loop_is_named_at_its_lowest_pair():
-    # a loop of one plain and one oriented arc crosses the cut both ways;
-    # it is named by the crossing of its first oriented strand met from
-    # the lowest pair: the lower diagram's top point in a composite, the
-    # bottom point in a trace
+    # a loop of one plain and one oriented arc is named by its flow at the
+    # lowest pair, where its walk starts, whichever arc is oriented: it
+    # gets the name of the same circle drawn fully oriented
     X, U, D = Label.PLAIN, Label.UP, Label.DOWN
 
     def loop_label(m):
         (s,) = the_diagram(m).strands
         return s.label
 
-    for cap, cup, want in ((X, U, U), (U, X, D), (X, D, D), (D, X, U)):
-        m = Morphism.cap(AR2, cap).compose(Morphism.cup(AR2, cup))
-        assert loop_label(m) == want, (cap, cup)
+    def circle(cap, cup):
+        return Morphism.cap(AR2, cap).compose(Morphism.cup(AR2, cup))
+
+    for cap, cup, want in ((X, U, U), (U, X, U), (X, D, D), (D, X, D),
+                           (U, U, U), (D, D, D)):
+        assert loop_label(circle(cap, cup)) == want, (cap, cup)
+    for lab in (U, D):
+        # one circle is one term, whichever arcs carry the orientation
+        total = circle(lab, lab) + circle(lab, X) + circle(X, lab)
+        assert len(total.terms) == 1
     for dir, want in ((+1, U), (-1, D)):
         d = Diagram.make(AR2, [X, X], [X, X], [], [
             Strand(bnd("bottom", 0), bnd("bottom", 1), U, dir),
             Strand(bnd("top", 0), bnd("top", 1), X, 0)])
         assert d.validate() == []
         assert loop_label(Morphism.from_diagram(d).trace_close()) == want
+    for dir, want in ((+1, D), (-1, U)):
+        # a plain bottom arc and an oriented top arc trace to the loop of
+        # the fully oriented trace, whose bottom arc runs the other way
+        top = Strand(bnd("top", 0), bnd("top", 1), D, dir)
+        for bottom in (Strand(bnd("bottom", 0), bnd("bottom", 1), X, 0),
+                       Strand(bnd("bottom", 0), bnd("bottom", 1), U, -dir)):
+            d = Diagram.make(AR2, [X, X], [X, X], [], [bottom, top])
+            assert d.validate() == []
+            tr = Morphism.from_diagram(d).trace_close()
+            assert loop_label(tr) == want, (dir, bottom.label)
 
 
 def test_expand_plain_counts():
@@ -362,10 +378,22 @@ def test_serialization_round_trip():
           + Morphism.generator(SH2, BoxKind.V).scale(-3),
           Morphism.generator(AE1, BoxKind.USTAR, rot=2),
           Morphism.loop(CO2, Label.RED),
-          Morphism.identity(AINF, [Label.PLAIN, Label.UP])]
+          Morphism.identity(AINF, [Label.PLAIN, Label.UP]),
+          Morphism.generator(AR2, BoxKind.U).click(1)]
     for m in ms:
         again = Morphism.parse(m.serialize())
         assert again == m
+
+
+def test_clicked_generators_validate():
+    # an oriented strand whose source changes row takes the object there
+    from affa.theory import leg_count
+    for th in rooted_theories(3):
+        for kind in box_kinds(th):
+            g = Morphism.generator(th, kind)
+            for c in range(1, leg_count(th, kind)):
+                (d,) = g.click(c).terms
+                assert d.validate() == [], (th, kind, c)
 
 
 def test_parse_rejects_garbage():
