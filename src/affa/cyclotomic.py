@@ -234,10 +234,13 @@ class Cyclo:
     def from_json(obj: dict) -> "Cyclo":
         if not isinstance(obj, dict) or "order" not in obj or "coeffs" not in obj:
             raise ValueError("malformed scalar: expected {order, coeffs}")
+        if not isinstance(obj["coeffs"], list):
+            raise ValueError("malformed scalar: coeffs must be a list")
         try:
             order = int(obj["order"])
             coeffs = [Fraction(c) for c in obj["coeffs"]]
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError,
+                ZeroDivisionError) as exc:
             raise ValueError(f"malformed scalar: {exc}") from None
         if order < 1:
             raise ValueError(f"scalar order must be positive, got {order}")

@@ -31,6 +31,12 @@ the operations hand it loop strands on any anchor, and it puts each
 loop on its own anchor, in label order.  A Morphism sums the
 coefficients of repeated diagrams itself, so each operation just lists
 its terms.
+
+`Diagram.make` numbers the boxes by a canonical traversal
+(`_canonical_box_order`) over integer tables of the rotation system,
+built once per call.  Loops are set aside before the boxes are numbered,
+so `expand_plain`, which only recolours plain loops, re-sorts the loops
+of a made diagram and never numbers its boxes again.
 """
 
 from __future__ import annotations
@@ -111,77 +117,100 @@ class Strand:
         return SNK if self.dir == +1 else SRC
 
 
-def _canonical_box_order(d: "Diagram") -> list[int] | None:
+def _canonical_box_order(theory: Theory, bottom: Sequence[Label],
+                         top: Sequence[Label],
+                         boxes: Sequence[tuple[BoxKind, int]],
+                         strands: Iterable[Strand]) -> list[int] | None:
     """Box numbering by a canonical traversal of the rotation system, so
     structurally equal diagrams agree regardless of input box order.
-    Returns the old indices in their new order, or None when the structure
-    is not traversable (left for validate to reject)."""
-    boxes, theory = d.boxes, d.theory
+
+    The traversals read integer tables built once per call.  Boxes are
+    vertices 0..nb-1 and the collapsed boundary is vertex nb; each vertex
+    lists its rotation as (label value, flow there, target vertex, the
+    target's position in its rotation, the target's leg or boundary
+    index).  Returns the old indices in their new order, or None when the
+    structure is not traversable (an endpoint used twice, left free or
+    outside every rotation; left for validate to reject)."""
     nb = len(boxes)
     if nb <= 1:
         return list(range(nb))
-    emap: dict[Endpoint, Strand] = {}
-    for s in d.strands:
-        if s.a in emap or s.b in emap:
-            return None
-        emap[s.a] = s
-        emap[s.b] = s
-    rotation, vertex_of = d.rotation, d.vertex_of
+    p, q = len(bottom), len(top)
+    # the boundary's rotation runs the top left to right, then the bottom
+    # right to left (see `Diagram.rotation`)
+    rots: list[list] = [[None] * leg_count(theory, k) for k, _ in boxes]
+    rots.append([None] * (p + q))
 
-    def traverse(root, entry):
+    def place(e: Endpoint) -> tuple[int, int] | None:
+        if e[0] == "box":
+            if 0 <= e[1] < nb and 0 <= e[2] < len(rots[e[1]]):
+                return e[1], e[2]
+        elif e[0] == "bnd":
+            if e[1] == "top" and 0 <= e[2] < q:
+                return nb, e[2]
+            if e[1] == "bottom" and 0 <= e[2] < p:
+                return nb, q + p - 1 - e[2]
+        return None
+
+    for s in strands:
+        at_a, at_b = place(s.a), place(s.b)
+        if at_a is None or at_b is None:
+            return None
+        (va, pa), (vb, pb) = at_a, at_b
+        if rots[va][pa] is not None or rots[vb][pb] is not None \
+                or at_a == at_b:
+            return None
+        flow = s.flow_at(s.a)
+        lab = s.label.value
+        rots[va][pa] = (lab, flow, vb, pb, s.b[2])
+        rots[vb][pb] = (lab, -flow, va, pa, s.a[2])
+    keys = [(k.value, r) for k, r in boxes]
+    heads = [("v", *key) for key in keys] + [("v", "bnd")]
+
+    def traverse(root: int, start: int):
         """Breadth-first over vertices, scanning each rotation from the
-        entry endpoint; encoding is invariant under box renumbering."""
-        index = {root: 0}
-        order = [root[1]] if root[0] == "box" else []
+        entry position; encoding is invariant under box renumbering."""
+        index = [-1] * (nb + 1)
+        index[root] = 0
+        seen = 1
+        order = [root] if root < nb else []
         enc = []
-        queue = [(root, entry)]
-        qi = 0
-        while qi < len(queue):
-            v, ent = queue[qi]
-            qi += 1
-            rot = rotation(v)
-            if v[0] == "box":
-                kind, r = boxes[v[1]]
-                enc.append(("v", kind.value, r))
-            else:
-                enc.append(("v", v[0]))
-            start = rot.index(ent) if ent is not None else 0
-            for t in range(len(rot)):
-                e = rot[(start + t) % len(rot)]
-                s = emap.get(e)
-                if s is None:
+        queue = [(root, start)]
+        for v, entry in queue:
+            enc.append(heads[v])
+            rot = rots[v]
+            for item in rot[entry:] + rot[:entry]:
+                if item is None:
                     return None
-                o = s.other(e)
-                tv = vertex_of(o)
-                if tv not in index:
-                    index[tv] = len(index)
-                    if tv[0] == "box":
-                        order.append(tv[1])
-                    queue.append((tv, o))
-                enc.append(("e", s.label.value, s.flow_at(e),
-                            index[tv], o[2]))
+                lab, flow, tv, tpos, tkey = item
+                if index[tv] < 0:
+                    index[tv] = seen
+                    seen += 1
+                    if tv < nb:
+                        order.append(tv)
+                    queue.append((tv, tpos))
+                enc.append(("e", lab, flow, index[tv], tkey))
         return tuple(enc), order
 
     placed: list[int] = []
-    if d.bottom or d.top:
-        got = traverse(("bnd",), None)
+    if p or q:
+        got = traverse(nb, 0)
         if got is None:
             return None
         placed.extend(got[1])
     remaining = [i for i in range(nb) if i not in set(placed)]
     comps = []
     while remaining:
-        probe = traverse(("box", remaining[0]), None)
+        probe = traverse(remaining[0], 0)
         if probe is None:
             return None
         comp = probe[1]
-        key = min((boxes[i][0].value, boxes[i][1]) for i in comp)
+        key = min(keys[i] for i in comp)
         best = None
         for i in comp:
-            if (boxes[i][0].value, boxes[i][1]) != key:
+            if keys[i] != key:
                 continue
-            for leg in range(leg_count(theory, boxes[i][0])):
-                got = traverse(("box", i), boxleg(i, leg))
+            for leg in range(len(rots[i])):
+                got = traverse(i, leg)
                 if got is None:
                     return None
                 if best is None or got[0] < best[0]:
@@ -279,10 +308,12 @@ class Diagram:
              boxes: Sequence[tuple[BoxKind, int]],
              strands: Iterable[Strand]) -> "Diagram":
         """Canonical constructor: normalizes box rotations mod leg count,
-        sorts strands, and numbers and names the free loops.  Every strand
-        between anchor slots is a loop, whatever anchor ids it carries; a
-        loop flowing from slot 1 to slot 0 takes its dual label, and the
-        loops go on anchors 0..k-1 sorted by (label, dir)."""
+        numbers the boxes by `_canonical_box_order`, and numbers and names
+        the free loops.  Every strand between anchor slots is a loop,
+        whatever anchor ids it carries; a loop flowing from slot 1 to slot
+        0 takes its dual label.  Loops are set aside before the boxes are
+        numbered, so recolouring one cannot move a box; `_with_loops`
+        puts them back."""
         boxes = tuple((k, r % leg_count(theory, k)) for k, r in boxes)
         out, loops = [], []
         for s in strands:
@@ -291,9 +322,7 @@ class Diagram:
                              else (s.label, s.dir))
             else:
                 out.append(s)
-        loops.sort(key=lambda ld: (ld[0].value, ld[1]))
-        order = _canonical_box_order(
-            Diagram(theory, tuple(bottom), tuple(top), boxes, 0, tuple(out)))
+        order = _canonical_box_order(theory, bottom, top, boxes, out)
         if order is not None and order != list(range(len(boxes))):
             old_to_new = {old: new for new, old in enumerate(order)}
             boxes = tuple(boxes[old] for old in order)
@@ -301,11 +330,7 @@ class Diagram:
                 boxleg(old_to_new[s.a[1]], s.a[2]) if s.a[0] == "box" else s.a,
                 boxleg(old_to_new[s.b[1]], s.b[2]) if s.b[0] == "box" else s.b,
                 s.label, s.dir) for s in out]
-        out += [Strand(anchor(i, 0), anchor(i, 1), lab, dir)
-                for i, (lab, dir) in enumerate(loops)]
-        out.sort(key=lambda s: (_ep_key(s.a), _ep_key(s.b)))
-        return Diagram(theory, tuple(bottom), tuple(top), boxes,
-                       len(loops), tuple(out))
+        return _with_loops(theory, bottom, top, boxes, out, loops)
 
     # -- structural helpers -------------------------------------------
     def endpoint_map(self) -> dict[Endpoint, Strand]:
@@ -798,7 +823,7 @@ class Morphism:
         try:
             bottom = [Label(x) for x in doc.get("bottom", [])]
             top = [Label(x) for x in doc.get("top", [])]
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ValueError(f"bad boundary label: {exc}") from None
         terms = doc.get("terms", [])
         if not isinstance(terms, list):
@@ -827,6 +852,21 @@ class Morphism:
 # ---------------------------------------------------------------------------
 # diagram-level operation internals
 # ---------------------------------------------------------------------------
+
+def _with_loops(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
+                boxes: tuple[tuple[BoxKind, int], ...], strands: list[Strand],
+                loops: list[tuple[Label, int]]) -> Diagram:
+    """The tail of `Diagram.make`: boxes and non-loop strands already
+    canonical, and loops as (label, dir) with dir +1 or 0.  The loops go
+    on anchors 0..k-1 sorted by (label, dir), and all strands are
+    sorted."""
+    loops = sorted(loops, key=lambda ld: (ld[0].value, ld[1]))
+    out = strands + [Strand(anchor(i, 0), anchor(i, 1), lab, dir)
+                     for i, (lab, dir) in enumerate(loops)]
+    out.sort(key=lambda s: (_ep_key(s.a), _ep_key(s.b)))
+    return Diagram(theory, tuple(bottom), tuple(top), boxes, len(loops),
+                   tuple(out))
+
 
 def _offset_endpoint(e: Endpoint, dbox: int, dbot: int,
                      dtop: int) -> Endpoint:
@@ -1035,18 +1075,25 @@ def _click_diagram(d: Diagram, steps: int) -> Diagram:
 
 def _expand_plain_loops(d: Diagram,
                         c: Cyclo) -> Iterator[tuple[Diagram, Cyclo]]:
-    plain = [i for i, s in enumerate(d.strands) if s.label is Label.PLAIN]
-    if not plain:
+    """d's terms with its p plain loops coloured, j of them in the first
+    colour for j = p down to 0.  d comes from `Diagram.make`, which
+    numbers the boxes with the loops set aside, so only the loops are
+    re-sorted (`_with_loops`); the boxes and other strands are kept."""
+    kept, loops, p = [], [], 0
+    for s in d.strands:
+        if s.a[0] != "anchor":
+            kept.append(s)
+        elif s.label is Label.PLAIN:
+            p += 1
+        else:
+            loops.append((s.label, s.dir))
+    if not p:
         yield d, c
         return
-    colours = plain_expansion(d.theory)
+    first, second = plain_expansion(d.theory)
     dir = +1 if d.theory.is_oriented() else 0
-    strands = list(d.strands)
-    p = len(plain)
     for j in range(p, -1, -1):
-        for n, i in enumerate(plain):
-            s = d.strands[i]
-            strands[i] = Strand(s.a, s.b, colours[n >= j], dir)
+        coloured = loops + [(first, dir)] * j + [(second, dir)] * (p - j)
         mult = comb(p, j)
-        yield (Diagram.make(d.theory, d.bottom, d.top, d.boxes, strands),
+        yield (_with_loops(d.theory, d.bottom, d.top, d.boxes, kept, coloured),
                c if mult == 1 else c * mult)

@@ -90,6 +90,10 @@ def _two_loops_on_one_anchor(doc):
     _bad_line(_term(coeff={"order": 7, "coeffs": ["0", "1"]})),
     _bad_line(_same_slot_loop),
     _bad_line(_two_loops_on_one_anchor),
+    json.dumps(dict(GOOD_LINE, bottom=5)),
+    json.dumps(dict(GOOD_LINE, top=5)),
+    _bad_line(_term(coeff={"order": 1, "coeffs": ["1/0"]})),
+    _bad_line(_term(coeff={"order": 1, "coeffs": "12"})),
 ], ids=["bad-json", "terms-not-a-list", "coeff-order-zero",
         "theory-root-not-an-object", "anchors-a-list", "anchors-null",
         "endpoint-anchor-overflows", "coeff-overflows",
@@ -97,7 +101,8 @@ def _two_loops_on_one_anchor(doc):
         "anchors-negative", "anchors-beyond-strands", "theory-n-boolean",
         "anchors-more-than-loops", "anchors-fewer-than-loops",
         "coeff-order-outside-root-field", "loop-on-one-slot",
-        "two-loops-on-one-anchor"])
+        "two-loops-on-one-anchor", "bottom-not-a-list", "top-not-a-list",
+        "coeff-divides-by-zero", "coeffs-a-string"])
 def test_eval_batch_ordered_and_reports_errors(tmp_path, bad):
     good = json.dumps(GOOD_LINE)
     lines = [good, bad, good]

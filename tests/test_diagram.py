@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -341,21 +342,75 @@ def test_expand_plain_matches_every_colouring():
 
 
 def test_expand_plain_makes_one_diagram_per_colour_count(monkeypatch):
-    m = _loops(AR2, 20)
-    made = []
-    real = Diagram.make
+    import affa.diagram
+    from affa.testgen import random_closed
+    boxed = random_closed(AR2, 6, 0, 1)
+    assert len(boxed.boxes) >= 2
+    m = Morphism.from_diagram(boxed).tensor(_loops(AR2, 20))
+    ordered = []
+    real = affa.diagram._canonical_box_order
 
-    def counted(*args, **kwargs):
-        made.append(1)
-        return real(*args, **kwargs)
+    def counted(*args):
+        ordered.append(1)
+        return real(*args)
 
-    monkeypatch.setattr(Diagram, "make", staticmethod(counted))
+    # the boxes of a made diagram are already numbered: expansion only
+    # re-sorts its loops
+    monkeypatch.setattr(affa.diagram, "_canonical_box_order", counted)
     expanded = m.expand_plain()
-    assert len(made) <= 21 and len(expanded.terms) == 21
+    assert not ordered and len(expanded.terms) == 21
     total = Cyclo.zero()
     for c in expanded.terms.values():
         total = total + c
     assert total == Cyclo.from_fraction(2 ** 20)
+
+
+def _made_diagrams():
+    """Diagrams with at least two boxes from `Diagram.make`: random closed
+    draws (with free loops), and the open w, w clicked and w* w for w two
+    generators side by side, over every finite theory with n <= 3 at every
+    legal root."""
+    from affa.testgen import random_closed
+    for th in rooted_theories(3):
+        kinds = box_kinds(th)
+        if not kinds:
+            continue
+        for seed in range(3):
+            d = random_closed(th, 6, 2, seed)
+            if len(d.boxes) >= 2:
+                yield d
+        w = Morphism.generator(th, kinds[0]).tensor(
+            Morphism.generator(th, kinds[-1], 1))
+        for m in (w, w.click(1), w.adjoint().compose(w)):
+            yield from m.terms
+
+
+def test_make_is_invariant_under_box_renumbering():
+    rng = random.Random(0)
+    moved = 0
+    for d in _made_diagrams():
+        nb = len(d.boxes)
+        for _ in range(3):
+            perm = list(range(nb))
+            rng.shuffle(perm)
+            boxes = [None] * nb
+            for old, new in enumerate(perm):
+                boxes[new] = d.boxes[old]
+
+            def ep(e):
+                return boxleg(perm[e[1]], e[2]) if e[0] == "box" else e
+            strands = [Strand(ep(s.a), ep(s.b), s.label, s.dir)
+                       for s in d.strands]
+            moved += perm != list(range(nb))
+            assert Diagram.make(d.theory, d.bottom, d.top, boxes,
+                                strands) == d, (d, perm)
+    assert moved > 100
+
+
+def test_make_is_idempotent():
+    for d in _made_diagrams():
+        assert Diagram.make(d.theory, d.bottom, d.top, d.boxes,
+                            d.strands) == d
 
 
 def test_expand_plain_rejects_an_open_morphism():
