@@ -349,7 +349,7 @@ def run(argv: list[str]) -> int:
     except AssertionError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

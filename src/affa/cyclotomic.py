@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from affa import wire
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(d: int) -> tuple[int, ...]:
@@ -232,19 +234,7 @@ class Cyclo:
 
     @staticmethod
     def from_json(obj: dict) -> "Cyclo":
-        if not isinstance(obj, dict) or "order" not in obj or "coeffs" not in obj:
-            raise ValueError("malformed scalar: expected {order, coeffs}")
-        if not isinstance(obj["coeffs"], list):
-            raise ValueError("malformed scalar: coeffs must be a list")
-        try:
-            order = int(obj["order"])
-            coeffs = [Fraction(c) for c in obj["coeffs"]]
-        except (TypeError, ValueError, OverflowError,
-                ZeroDivisionError) as exc:
-            raise ValueError(f"malformed scalar: {exc}") from None
-        if order < 1:
-            raise ValueError(f"scalar order must be positive, got {order}")
-        return Cyclo(coeffs, order)
+        return Cyclo(*wire.scalar(obj))
 
 
 def _as_cyclo(x) -> Cyclo:

@@ -48,6 +48,7 @@ from itertools import chain
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
+from affa import wire
 from affa.cyclotomic import Cyclo
 from affa.theory import (
     SNK,
@@ -122,7 +123,10 @@ def _canonical_box_order(theory: Theory, bottom: Sequence[Label],
                          boxes: Sequence[tuple[BoxKind, int]],
                          strands: Iterable[Strand]) -> list[int] | None:
     """Box numbering by a canonical traversal of the rotation system, so
-    structurally equal diagrams agree regardless of input box order.
+    structurally equal diagrams agree regardless of input box order.  A
+    component off the boundary is traversed from leg 0 of each of its
+    boxes of least (kind, rotation); legs are numbered on the box itself,
+    so no other leg is needed.
 
     The traversals read integer tables built once per call.  Boxes are
     vertices 0..nb-1 and the collapsed boundary is vertex nb; each vertex
@@ -136,7 +140,7 @@ def _canonical_box_order(theory: Theory, bottom: Sequence[Label],
         return list(range(nb))
     p, q = len(bottom), len(top)
     # the boundary's rotation runs the top left to right, then the bottom
-    # right to left (see `Diagram.rotation`)
+    # right to left (see `Diagram.faces`)
     rots: list[list] = [[None] * leg_count(theory, k) for k, _ in boxes]
     rots.append([None] * (p + q))
 
@@ -203,19 +207,12 @@ def _canonical_box_order(theory: Theory, bottom: Sequence[Label],
         probe = traverse(remaining[0], 0)
         if probe is None:
             return None
+        # the probe filled every slot of its component, so no traversal
+        # from leg 0 of another of its boxes fails
         comp = probe[1]
         key = min(keys[i] for i in comp)
-        best = None
-        for i in comp:
-            if keys[i] != key:
-                continue
-            for leg in range(len(rots[i])):
-                got = traverse(i, leg)
-                if got is None:
-                    return None
-                if best is None or got[0] < best[0]:
-                    best = got
-        comps.append(best)
+        comps.append(min((traverse(i, 0) for i in comp if keys[i] == key),
+                         key=lambda got: got[0]))
         gone = set(comp)
         remaining = [i for i in remaining if i not in gone]
     comps.sort(key=lambda x: x[0])
@@ -346,28 +343,6 @@ class Diagram:
         return not self.bottom and not self.top
 
     # -- rotation system ------------------------------------------------
-    def vertices(self) -> list[tuple]:
-        vs: list[tuple] = []
-        if self.bottom or self.top:
-            vs.append(("bnd",))
-        vs.extend(("box", i) for i in range(len(self.boxes)))
-        vs.extend(("anchor", i) for i in range(self.n_anchors))
-        return vs
-
-    def rotation(self, v: tuple) -> list[Endpoint]:
-        """Counterclockwise endpoint order at vertex v (all vertices viewed
-        from the same side of the sphere; the collapsed boundary vertex
-        sits at infinity, hence runs the square boundary clockwise)."""
-        if v[0] == "bnd":
-            return ([bnd("top", j) for j in range(len(self.top))]
-                    + [bnd("bottom", i)
-                       for i in reversed(range(len(self.bottom)))])
-        if v[0] == "box":
-            kind, _ = self.boxes[v[1]]
-            return [boxleg(v[1], c)
-                    for c in range(leg_count(self.theory, kind))]
-        return [anchor(v[1], 0), anchor(v[1], 1)]
-
     def vertex_of(self, e: Endpoint) -> tuple:
         if e[0] == "bnd":
             return ("bnd",)
@@ -375,11 +350,19 @@ class Diagram:
 
     def faces(self) -> list[list[Endpoint]]:
         """Face orbits of the rotation system.  Each face is the cyclic list
-        of endpoints it sweeps; every endpoint lies in exactly one face."""
+        of endpoints it sweeps; every endpoint lies in exactly one face.
+        Each vertex's endpoints run counterclockwise (all vertices viewed
+        from the same side of the sphere); the collapsed boundary vertex
+        sits at infinity, hence runs the square boundary clockwise."""
         emap = self.endpoint_map()
+        rots = [[bnd("top", j) for j in range(len(self.top))]
+                + [bnd("bottom", i)
+                   for i in reversed(range(len(self.bottom)))]]
+        rots += [[boxleg(b, c) for c in range(leg_count(self.theory, kind))]
+                 for b, (kind, _) in enumerate(self.boxes)]
+        rots += [[anchor(a, 0), anchor(a, 1)] for a in range(self.n_anchors)]
         succ: dict[Endpoint, Endpoint] = {}
-        for v in self.vertices():
-            rot = self.rotation(v)
+        for rot in rots:
             for i, e in enumerate(rot):
                 succ[e] = rot[(i + 1) % len(rot)]
         faces = []
@@ -547,13 +530,6 @@ class Diagram:
                 return {"box": e[1], "leg": e[2]}
             return {"anchor": e[1], "side": e[2]}
 
-        emap = self.endpoint_map()
-        strand_ids = {id(s): i for i, s in enumerate(self.strands)}
-        embedding = {}
-        for v in self.vertices():
-            key = v[0] if v[0] == "bnd" else f"{v[0]}{v[1]}"
-            embedding[key] = [strand_ids[id(emap[e])]
-                              for e in self.rotation(v)]
         out = {
             "theory": self.theory.to_json(),
             "bottom": [l.value for l in self.bottom],
@@ -562,7 +538,6 @@ class Diagram:
             "strands": [{"a": ep(s.a), "b": ep(s.b), "label": s.label.value,
                          "dir": s.dir} for s in self.strands],
             "anchors": self.n_anchors,
-            "embedding": embedding,
         }
         if coeff is not None:
             out["coeff"] = coeff.to_json()
@@ -570,34 +545,17 @@ class Diagram:
 
     @staticmethod
     def from_json(obj: dict) -> "Diagram":
-        if not isinstance(obj, dict):
-            raise ValueError("diagram term must be an object")
-        if "theory" not in obj:
-            raise ValueError("missing theory")
-        th = Theory.from_json(obj["theory"])
-
-        def ep(e):
-            if "bnd" in e:
-                if e["bnd"] not in ("bottom", "top"):
-                    raise ValueError(f"bad boundary side {e['bnd']!r}")
-                return bnd(e["bnd"], int(e["i"]))
-            if "box" in e:
-                return boxleg(int(e["box"]), int(e["leg"]))
-            if "anchor" in e:
-                return anchor(int(e["anchor"]), int(e["side"]))
-            raise ValueError(f"malformed endpoint {e!r}")
-
-        try:
-            bottom = [Label(x) for x in obj.get("bottom", [])]
-            top = [Label(x) for x in obj.get("top", [])]
-            boxes = [(BoxKind(b["kind"]), int(b.get("rot", 0)))
-                     for b in obj.get("boxes", [])]
-            strands = [Strand(ep(s["a"]), ep(s["b"]), Label(s["label"]),
-                              int(s.get("dir", 0)))
-                       for s in obj.get("strands", [])]
-            declared = int(obj["anchors"]) if "anchors" in obj else None
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed diagram: {exc}") from None
+        th, bottom, top = _read_boundary(obj)
+        # a missing kind, endpoint or label reads as None, which no enum
+        # value or endpoint is
+        boxes = [(BoxKind(b.get("kind")), wire.integer(b.get("rot", 0), "rot"))
+                 for b in wire.items(obj.get("boxes", []), "boxes")]
+        strands = [Strand(wire.endpoint(s.get("a")), wire.endpoint(s.get("b")),
+                          Label(s.get("label")),
+                          wire.integer(s.get("dir", 0), "dir"))
+                   for s in wire.items(obj.get("strands", []), "strands")]
+        declared = (wire.integer(obj["anchors"], "anchors")
+                    if "anchors" in obj else None)
         # make renumbers loops, so it would silently repair these two
         looped: set[int] = set()
         for s in strands:
@@ -817,36 +775,32 @@ class Morphism:
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"bad JSON at position {exc.pos}: {exc.msg}") from None
-        if not isinstance(doc, dict) or "theory" not in doc:
-            raise ValueError("missing theory")
-        th = Theory.from_json(doc["theory"])
-        try:
-            bottom = [Label(x) for x in doc.get("bottom", [])]
-            top = [Label(x) for x in doc.get("top", [])]
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"bad boundary label: {exc}") from None
-        terms = doc.get("terms", [])
-        if not isinstance(terms, list):
-            raise ValueError("terms must be a list")
+        th, bottom, top = _read_boundary(doc)
+        terms = wire.items(doc.get("terms", []), "terms")
         one = {"order": 1, "coeffs": ["1"]}
         bound = th.root_bound() if th.spec.root_bound else 1
 
         def coeff(obj) -> Cyclo:
             # Cyclo builds one entry per unit of order, so a huge order is
-            # refused before it is built; a malformed one is left to
-            # Cyclo.from_json to name
-            try:
-                order = int(obj["order"])
-            except (KeyError, TypeError, ValueError, OverflowError):
-                order = 1
-            if order > 0 and bound % order:
+            # refused before it is built
+            coeffs, order = wire.scalar(obj)
+            if bound % order:
                 raise ValueError(f"scalar order {order} does not divide "
                                  f"the theory's root bound {bound}")
-            return Cyclo.from_json(obj)
+            return Cyclo(coeffs, order)
 
         return Morphism(th, bottom, top,
                         ((Diagram.from_json(t), coeff(t.get("coeff", one)))
                          for t in terms))
+
+
+def _read_boundary(obj) -> tuple[Theory, list[Label], list[Label]]:
+    """The theory and boundary words of a morphism or term object."""
+    if not isinstance(obj, dict) or "theory" not in obj:
+        raise ValueError("expected an object with a theory")
+    return (Theory.from_json(obj["theory"]),
+            wire.word(obj.get("bottom", []), "bottom", Label),
+            wire.word(obj.get("top", []), "top", Label))
 
 
 # ---------------------------------------------------------------------------

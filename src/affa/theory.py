@@ -17,6 +17,7 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Mapping
 
+from affa import wire
 from affa.cyclotomic import Cyclo, root_power
 
 
@@ -342,19 +343,13 @@ class Theory:
     def from_json(obj: dict) -> "Theory":
         if not isinstance(obj, dict) or "family" not in obj:
             raise ValueError("malformed theory: missing family")
-        try:
-            fam = Family(obj["family"])
-        except ValueError:
-            raise ValueError(f"unknown family {obj['family']!r}") from None
         n, root = obj.get("n"), obj.get("root", {"order": 1, "exp": 0})
-        if type(n) not in (int, type(None)) or not isinstance(root, dict):
-            raise ValueError("malformed theory: n must be an integer and "
-                             "root an object")
-        try:
-            order, exp = int(root.get("order", 1)), int(root.get("exp", 0))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"malformed theory root: {exc}") from None
-        return Theory(fam, n, order, exp)
+        if not isinstance(root, dict):
+            raise ValueError("malformed theory: root must be an object")
+        return Theory(Family(obj["family"]),
+                      None if n is None else wire.integer(n, "theory n"),
+                      wire.integer(root.get("order", 1), "root order"),
+                      wire.integer(root.get("exp", 0), "root exp"))
 
 
 def rooted_theories(max_n: int) -> list[Theory]:

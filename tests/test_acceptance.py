@@ -182,15 +182,17 @@ def test_criterion_7_equivalence_functors():
 def test_criterion_9_termination_measure():
     from affa.evaluate import eval_closed
     from affa.testgen import random_closed
-    # the evaluator asserts inline that (#boxes, #loops) strictly drops
-    # at every rewrite; rerunning a mixed battery with assertions active
-    # exercises those checks across the criteria-1..3 style workloads
-    ok = __debug__
+    from affa.theory import InvariantBreach
+    # the evaluator checks at every rewrite that (#boxes, #loops) strictly
+    # drops and raises InvariantBreach (also under python -O) if not;
+    # rerunning a mixed battery exercises those checks across the
+    # criteria-1..3 style workloads
+    ok = True
     try:
         for th in rooted_theories(2):
             for seed in range(50):
                 eval_closed(Morphism.from_diagram(
                     random_closed(th, 6, 2, seed)))
-    except AssertionError:
+    except InvariantBreach:
         ok = False
     _report(9, ok)

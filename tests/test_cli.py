@@ -6,7 +6,7 @@ import pytest
 
 from affa.cli import run
 from affa.diagram import Morphism
-from affa.theory import Family, Label, Theory
+from affa.theory import BoxKind, Family, Label, Theory
 
 
 AR1 = Theory(Family.ARROW_AODD, 1, 2, 1)
@@ -43,12 +43,15 @@ def test_unknown_flag_is_an_input_error():
 
 
 GOOD_LINE = json.loads(Morphism.loop(AR1, Label.PLAIN).serialize())
+U1 = Morphism.generator(AR1, BoxKind.U)
+# tr(u* u): box 0 is U at rotation 0, and strand 0 ends on leg 1 of box 1
+BOXED_LINE = json.loads(U1.adjoint().compose(U1).trace_close().serialize())
 
 
-def _bad_line(edit) -> str:
-    """GOOD_LINE after `edit`, with every "BIG" written as the JSON number
+def _bad_line(edit, line=GOOD_LINE) -> str:
+    """`line` after `edit`, with every "BIG" written as the JSON number
     1e400 (which parses to an infinite float)."""
-    doc = json.loads(json.dumps(GOOD_LINE))
+    doc = json.loads(json.dumps(line))
     edit(doc)
     return json.dumps(doc).replace('"BIG"', "1e400")
 
@@ -69,6 +72,15 @@ def _two_loops_on_one_anchor(doc):
     term = doc["terms"][0]
     term["strands"] *= 2
     del term["anchors"]
+
+
+def _bottom_an_object(doc):
+    for obj in (doc, doc["terms"][0]):
+        obj["bottom"] = {}
+
+
+def _strand_end(end, **fields):
+    return lambda doc: doc["terms"][0]["strands"][0][end].update(fields)
 
 
 @pytest.mark.parametrize("bad", [
@@ -94,6 +106,14 @@ def _two_loops_on_one_anchor(doc):
     json.dumps(dict(GOOD_LINE, top=5)),
     _bad_line(_term(coeff={"order": 1, "coeffs": ["1/0"]})),
     _bad_line(_term(coeff={"order": 1, "coeffs": "12"})),
+    _bad_line(_bottom_an_object),
+    _bad_line(_term(coeff={"order": 1.5, "coeffs": ["1"]})),
+    _bad_line(_term(coeff={"order": True, "coeffs": ["1"]})),
+    _bad_line(_term(coeff={"order": 1, "coeffs": [True]})),
+    _bad_line(lambda doc: doc["terms"][0]["boxes"][0].update(rot=1.5),
+              BOXED_LINE),
+    _bad_line(_strand_end("b", box=True), BOXED_LINE),
+    _bad_line(_strand_end("a", k=1)),
 ], ids=["bad-json", "terms-not-a-list", "coeff-order-zero",
         "theory-root-not-an-object", "anchors-a-list", "anchors-null",
         "endpoint-anchor-overflows", "coeff-overflows",
@@ -102,7 +122,9 @@ def _two_loops_on_one_anchor(doc):
         "anchors-more-than-loops", "anchors-fewer-than-loops",
         "coeff-order-outside-root-field", "loop-on-one-slot",
         "two-loops-on-one-anchor", "bottom-not-a-list", "top-not-a-list",
-        "coeff-divides-by-zero", "coeffs-a-string"])
+        "coeff-divides-by-zero", "coeffs-a-string", "bottom-an-object",
+        "coeff-order-a-float", "coeff-order-a-boolean", "coeff-a-boolean",
+        "box-rot-a-float", "endpoint-box-a-boolean", "endpoint-extra-key"])
 def test_eval_batch_ordered_and_reports_errors(tmp_path, bad):
     good = json.dumps(GOOD_LINE)
     lines = [good, bad, good]
@@ -114,6 +136,65 @@ def test_eval_batch_ordered_and_reports_errors(tmp_path, bad):
     assert [r["index"] for r in rows] == [0, 1, 2]
     assert rows[0]["value"] == "2" and rows[2]["value"] == "2"
     assert "error" in rows[1]
+
+
+def test_boundary_object_is_not_read_as_a_word():
+    # the identity on [Up] with both boundaries written as objects: read
+    # by its keys, {"Up": 7} would be the word [Up]
+    th = Theory(Family.ARROW_AODD, 2, 4, 1)
+    doc = json.loads(Morphism.identity(th, [Label.UP]).serialize())
+    for obj in (doc, doc["terms"][0]):
+        obj["bottom"] = obj["top"] = {"Up": 7}
+    with pytest.raises(ValueError, match="bottom must be a list"):
+        Morphism.parse(json.dumps(doc))
+
+
+WRONG_TYPES = [None, True, 1.5, "x", {}, {"k": 1}, [None]]
+
+
+def _field_paths(node, path=()):
+    """The path of every field below `node`: object keys, list indices."""
+    if isinstance(node, dict):
+        fields = node.items()
+    elif isinstance(node, list):
+        fields = enumerate(node)
+    else:
+        return
+    for key, value in fields:
+        yield path + (key,)
+        yield from _field_paths(value, path + (key,))
+
+
+def _kind(path):
+    return tuple("*" if isinstance(key, int) else key for key in path)
+
+
+def test_wrongly_typed_fields_give_an_error_or_the_same_value():
+    # the first field of each kind (its path with list indices left out)
+    # in the first recorded batch line that has one, set to each wrongly
+    # typed value, gives an error row or the unmutated value, never
+    # another value
+    from affa.cli import _eval_one
+    docs = [json.loads(ln) for name in ("batch.jsonl", "batch-loops.jsonl")
+            for ln in (DATA / name).read_text().splitlines()]
+    first = {}
+    for i, doc in enumerate(docs):
+        for path in _field_paths(doc):
+            first.setdefault(_kind(path), (i, path))
+    assert len(first) == 66
+    for i, path in first.values():
+        want = _eval_one(json.dumps(docs[i]))["value"]
+        for value in WRONG_TYPES:
+            doc = json.loads(json.dumps(docs[i]))
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            try:
+                got = _eval_one(json.dumps(doc))["value"]
+            except ValueError:
+                continue
+            assert got == want, (i, path, value)
 
 
 def test_huge_scalar_order_is_refused_before_it_is_built(tmp_path):
@@ -130,6 +211,15 @@ def test_huge_scalar_order_is_refused_before_it_is_built(tmp_path):
     assert run(["eval", "--batch", str(src), "--out", str(out)]) == 1
     (row,) = [json.loads(ln) for ln in out.read_text().splitlines()]
     assert "does not divide" in row["error"]
+
+
+def test_coefficient_exponent_is_refused_before_it_is_built():
+    # Fraction("1e5000000") builds the power of ten, which takes seconds
+    line = _bad_line(_term(coeff={"order": 1, "coeffs": ["1e5000000"]}))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="p or p/q"):
+        Morphism.parse(line)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dangling_anchor_endpoint_is_named(tmp_path):
