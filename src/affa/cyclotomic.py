@@ -57,11 +57,10 @@ def _reduce_mod_phi(coeffs: Sequence[Fraction], d: int) -> tuple[Fraction, ...]:
 
     Returns a tuple of length d padded with zeros above phi(d).
     """
-    work = list(coeffs)
     # First fold exponents mod d (zeta^d = 1).
-    folded = [Fraction(0)] * d if d > 1 else [Fraction(0)]
-    for i, c in enumerate(work):
-        folded[i % d] += Fraction(c)
+    folded = [Fraction(0)] * d
+    for i, c in enumerate(coeffs):
+        folded[i % d] += c
     phi = cyclotomic_poly(d)
     deg = len(phi) - 1
     for k in range(d - 1, deg - 1, -1):
@@ -70,7 +69,7 @@ def _reduce_mod_phi(coeffs: Sequence[Fraction], d: int) -> tuple[Fraction, ...]:
             folded[k] = Fraction(0)
             for i in range(deg):
                 folded[k - deg + i] -= c * phi[i]
-    return tuple(folded + [Fraction(0)] * (d - len(folded)))
+    return tuple(folded)
 
 
 class Cyclo:

@@ -121,7 +121,7 @@ class Strand:
 def _canonical_box_order(theory: Theory, bottom: Sequence[Label],
                          top: Sequence[Label],
                          boxes: Sequence[tuple[BoxKind, int]],
-                         strands: Iterable[Strand]) -> list[int] | None:
+                         strands: Iterable[Strand]) -> list[int]:
     """Box numbering by a canonical traversal of the rotation system, so
     structurally equal diagrams agree regardless of input box order.  A
     component off the boundary is traversed from leg 0 of each of its
@@ -132,9 +132,7 @@ def _canonical_box_order(theory: Theory, bottom: Sequence[Label],
     vertices 0..nb-1 and the collapsed boundary is vertex nb; each vertex
     lists its rotation as (label value, flow there, target vertex, the
     target's position in its rotation, the target's leg or boundary
-    index).  Returns the old indices in their new order, or None when the
-    structure is not traversable (an endpoint used twice, left free or
-    outside every rotation; left for validate to reject)."""
+    index).  Returns the old indices in their new order."""
     nb = len(boxes)
     if nb <= 1:
         return list(range(nb))
@@ -144,25 +142,13 @@ def _canonical_box_order(theory: Theory, bottom: Sequence[Label],
     rots: list[list] = [[None] * leg_count(theory, k) for k, _ in boxes]
     rots.append([None] * (p + q))
 
-    def place(e: Endpoint) -> tuple[int, int] | None:
+    def place(e: Endpoint) -> tuple[int, int]:
         if e[0] == "box":
-            if 0 <= e[1] < nb and 0 <= e[2] < len(rots[e[1]]):
-                return e[1], e[2]
-        elif e[0] == "bnd":
-            if e[1] == "top" and 0 <= e[2] < q:
-                return nb, e[2]
-            if e[1] == "bottom" and 0 <= e[2] < p:
-                return nb, q + p - 1 - e[2]
-        return None
+            return e[1], e[2]
+        return nb, (e[2] if e[1] == "top" else q + p - 1 - e[2])
 
     for s in strands:
-        at_a, at_b = place(s.a), place(s.b)
-        if at_a is None or at_b is None:
-            return None
-        (va, pa), (vb, pb) = at_a, at_b
-        if rots[va][pa] is not None or rots[vb][pb] is not None \
-                or at_a == at_b:
-            return None
+        (va, pa), (vb, pb) = place(s.a), place(s.b)
         flow = s.flow_at(s.a)
         lab = s.label.value
         rots[va][pa] = (lab, flow, vb, pb, s.b[2])
@@ -170,56 +156,38 @@ def _canonical_box_order(theory: Theory, bottom: Sequence[Label],
     keys = [(k.value, r) for k, r in boxes]
     heads = [("v", *key) for key in keys] + [("v", "bnd")]
 
-    def traverse(root: int, start: int):
+    def traverse(root: int):
         """Breadth-first over vertices, scanning each rotation from the
-        entry position; encoding is invariant under box renumbering."""
+        entry position: an encoding invariant under box renumbering, and
+        the boxes in the order met."""
         index = [-1] * (nb + 1)
         index[root] = 0
-        seen = 1
-        order = [root] if root < nb else []
         enc = []
-        queue = [(root, start)]
+        queue = [(root, 0)]
         for v, entry in queue:
             enc.append(heads[v])
             rot = rots[v]
-            for item in rot[entry:] + rot[:entry]:
-                if item is None:
-                    return None
-                lab, flow, tv, tpos, tkey = item
+            for lab, flow, tv, tpos, tkey in rot[entry:] + rot[:entry]:
                 if index[tv] < 0:
-                    index[tv] = seen
-                    seen += 1
-                    if tv < nb:
-                        order.append(tv)
+                    index[tv] = len(queue)
                     queue.append((tv, tpos))
                 enc.append(("e", lab, flow, index[tv], tkey))
-        return tuple(enc), order
+        return tuple(enc), [v for v, _ in queue if v < nb]
 
-    placed: list[int] = []
-    if p or q:
-        got = traverse(nb, 0)
-        if got is None:
-            return None
-        placed.extend(got[1])
-    remaining = [i for i in range(nb) if i not in set(placed)]
+    placed: list[int] = traverse(nb)[1] if p or q else []
+    gone = set(placed)
+    remaining = [i for i in range(nb) if i not in gone]
     comps = []
     while remaining:
-        probe = traverse(remaining[0], 0)
-        if probe is None:
-            return None
-        # the probe filled every slot of its component, so no traversal
-        # from leg 0 of another of its boxes fails
-        comp = probe[1]
+        comp = traverse(remaining[0])[1]
         key = min(keys[i] for i in comp)
-        comps.append(min((traverse(i, 0) for i in comp if keys[i] == key),
+        comps.append(min((traverse(i) for i in comp if keys[i] == key),
                          key=lambda got: got[0]))
         gone = set(comp)
         remaining = [i for i in remaining if i not in gone]
     comps.sort(key=lambda x: x[0])
     for _, order in comps:
         placed.extend(order)
-    if sorted(placed) != list(range(nb)):
-        return None
     return placed
 
 
@@ -310,7 +278,9 @@ class Diagram:
         whatever anchor ids it carries; a loop flowing from slot 1 to slot
         0 takes its dual label.  Loops are set aside before the boxes are
         numbered, so recolouring one cannot move a box; `_with_loops`
-        puts them back."""
+        puts them back.  The input must use each boundary point and box
+        leg exactly once, as `validate` checks: `from_json` validates a
+        diagram before it is made, and the operations keep this."""
         boxes = tuple((k, r % leg_count(theory, k)) for k, r in boxes)
         out, loops = [], []
         for s in strands:
@@ -320,7 +290,7 @@ class Diagram:
             else:
                 out.append(s)
         order = _canonical_box_order(theory, bottom, top, boxes, out)
-        if order is not None and order != list(range(len(boxes))):
+        if order != list(range(len(boxes))):
             old_to_new = {old: new for new, old in enumerate(order)}
             boxes = tuple(boxes[old] for old in order)
             out = [Strand(
@@ -393,6 +363,14 @@ class Diagram:
 
     # -- validation -------------------------------------------------------
     def validate(self) -> list[str]:
+        """The ways the diagram breaks its theory, in order, or []: a
+        label outside the alphabet, an illegal box kind or rotation, an
+        endpoint used twice, a strand at an anchor that is not a loop from
+        side 0 to side 1 of that anchor, endpoints other than the boundary
+        points, box legs and anchors 0..n_anchors-1, a strand label or
+        flow its endpoints refuse, a non-planar component, and in shaded
+        theories boxes no checkerboard shading fits.  It reads the diagram
+        as written, before `make` numbers it."""
         errors: list[str] = []
         th = self.theory
         alpha = alphabet(th)
@@ -409,6 +387,12 @@ class Diagram:
             emap = self.endpoint_map()
         except ValueError as exc:
             return errors + [str(exc)]
+        for s in self.strands:
+            e = s.a if s.a[0] == "anchor" else s.b
+            if e[0] == "anchor" and \
+                    (s.a, s.b) != (anchor(e[1], 0), anchor(e[1], 1)):
+                errors.append(f"anchor {e[1]} side {e[2]} is not on a loop "
+                              f"from side 0 to side 1 of anchor {e[1]}")
         expected: set[Endpoint] = set()
         expected.update(bnd("bottom", i) for i in range(len(self.bottom)))
         expected.update(bnd("top", i) for i in range(len(self.top)))
@@ -424,10 +408,6 @@ class Diagram:
             if extra:
                 errors.append(f"stray endpoints: {extra[:4]}")
             return errors
-        for i in range(self.n_anchors):
-            s = emap[anchor(i, 0)]
-            if s is not emap[anchor(i, 1)] or s.a != anchor(i, 0):
-                errors.append(f"anchor {i} is not a single loop strand")
         for s in self.strands:
             errors.extend(self._check_strand(s))
         if errors:
@@ -545,38 +525,28 @@ class Diagram:
 
     @staticmethod
     def from_json(obj: dict) -> "Diagram":
+        """The diagram a term object writes, validated as written and then
+        made canonical; its loops sit on anchors 0..anchors-1, one each."""
         th, bottom, top = _read_boundary(obj)
         # a missing kind, endpoint or label reads as None, which no enum
         # value or endpoint is
         boxes = [(BoxKind(b.get("kind")), wire.integer(b.get("rot", 0), "rot"))
                  for b in wire.items(obj.get("boxes", []), "boxes")]
+        boxes = [(k, r % leg_count(th, k)) for k, r in boxes]
         strands = [Strand(wire.endpoint(s.get("a")), wire.endpoint(s.get("b")),
                           Label(s.get("label")),
                           wire.integer(s.get("dir", 0), "dir"))
                    for s in wire.items(obj.get("strands", []), "strands")]
-        declared = (wire.integer(obj["anchors"], "anchors")
-                    if "anchors" in obj else None)
-        # make renumbers loops, so it would silently repair these two
-        looped: set[int] = set()
-        for s in strands:
-            for e in (s.a, s.b):
-                if e[0] == "anchor" and \
-                        (s.a, s.b) != (anchor(e[1], 0), anchor(e[1], 1)):
-                    raise ValueError(f"anchor {e[1]} side {e[2]} is not on "
-                                     f"a loop from side 0 to side 1 of "
-                                     f"anchor {e[1]}")
-            if s.a[0] == "anchor":
-                if s.a[1] in looped:
-                    raise ValueError(f"anchor {s.a[1]} holds two loops")
-                looped.add(s.a[1])
-        d = Diagram.make(th, bottom, top, boxes, strands)
-        if declared not in (None, d.n_anchors):
-            raise ValueError(f"{declared} anchors declared, but the strands "
-                             f"use {d.n_anchors}")
-        errs = d.validate()
+        loops = sum(s.a[0] == s.b[0] == "anchor" for s in strands)
+        errs = Diagram(th, tuple(bottom), tuple(top), tuple(boxes), loops,
+                       tuple(strands)).validate()
         if errs:
             raise ValueError("invalid diagram: " + "; ".join(errs))
-        return d
+        declared = wire.integer(obj.get("anchors", loops), "anchors")
+        if declared != loops:
+            raise ValueError(f"{declared} anchors declared, but the strands "
+                             f"use {loops}")
+        return Diagram.make(th, bottom, top, boxes, strands)
 
 
 class Morphism:

@@ -68,6 +68,12 @@ def _same_slot_loop(doc):
     doc["terms"][0]["strands"][0]["b"]["side"] = 0
 
 
+def _loop_on_anchor_3(doc):
+    for end in doc["terms"][0]["strands"][0].values():
+        if isinstance(end, dict):
+            end["anchor"] = 3
+
+
 def _two_loops_on_one_anchor(doc):
     term = doc["terms"][0]
     term["strands"] *= 2
@@ -114,6 +120,7 @@ def _strand_end(end, **fields):
               BOXED_LINE),
     _bad_line(_strand_end("b", box=True), BOXED_LINE),
     _bad_line(_strand_end("a", k=1)),
+    _bad_line(_loop_on_anchor_3),
 ], ids=["bad-json", "terms-not-a-list", "coeff-order-zero",
         "theory-root-not-an-object", "anchors-a-list", "anchors-null",
         "endpoint-anchor-overflows", "coeff-overflows",
@@ -124,7 +131,8 @@ def _strand_end(end, **fields):
         "two-loops-on-one-anchor", "bottom-not-a-list", "top-not-a-list",
         "coeff-divides-by-zero", "coeffs-a-string", "bottom-an-object",
         "coeff-order-a-float", "coeff-order-a-boolean", "coeff-a-boolean",
-        "box-rot-a-float", "endpoint-box-a-boolean", "endpoint-extra-key"])
+        "box-rot-a-float", "endpoint-box-a-boolean", "endpoint-extra-key",
+        "loop-on-a-non-canonical-anchor"])
 def test_eval_batch_ordered_and_reports_errors(tmp_path, bad):
     good = json.dumps(GOOD_LINE)
     lines = [good, bad, good]

@@ -246,3 +246,78 @@ def test_invariant_checks_run_under_python_O():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "1 evaluation paired two non-adjoint boxes\n"
+
+
+def _eval_counting_saddle_moves():
+    """eval_with_steps, also returning how many saddle moves it made: the
+    times the line of `_eval_term` that reconnects two strands across a
+    box pair runs, counted by a trace on that function alone."""
+    import affa.evaluate
+    import inspect
+    code = affa.evaluate._eval_term.__code__
+    lines, first = inspect.getsourcelines(code)
+    (line,) = [first + i for i, text in enumerate(lines)
+               if "conn[xa], conn[xb] = xb, xa" in text]
+
+    def evaluate(m):
+        moves = 0
+
+        def count(frame, event, arg):
+            nonlocal moves
+            moves += event == "line" and frame.f_lineno == line
+            return count
+
+        old = sys.gettrace()
+        sys.settrace(lambda frame, event, arg:
+                     count if frame.f_code is code else None)
+        try:
+            return eval_with_steps(m), moves
+        finally:
+            sys.settrace(old)
+    return evaluate
+
+
+def test_saddle_moves_agree_with_the_invariant():
+    # tr(w* w) pairs each box with its own mirror, so the evaluator never
+    # reconnects strands there; tr(g* f) with f != g does.  f and g run
+    # over the valid products of two generators, each clicked 0-3 times.
+    # Words with one boundary fall in two checkerboard classes, and a
+    # closure across classes is the zero term (None), so only pairs
+    # within one class are closed.
+    from affa.diagram import _adjoint_diagram, _glue, _trace_diagram
+    evaluate = _eval_counting_saddle_moves()
+    u0, u1 = (Morphism.generator(SH2, BoxKind.U, r) for r in (0, 1))
+    m = u1.tensor(u1).click(3).adjoint().compose(u0.tensor(u0)).trace_close()
+    assert evaluate(m) == ((Cyclo.one(), 9), 1)
+    assert invariant(m) == Cyclo.one()
+    gens = [Morphism.generator(SH2, kind, r)
+            for kind in box_kinds(SH2) for r in range(4)]
+    classes: dict = {}
+    for a in gens:
+        for b in gens:
+            if next(iter(a.tensor(b).terms)).validate():
+                continue
+            for c in range(4):
+                (w,) = a.tensor(b).click(c).terms
+                group = classes.setdefault((w.bottom, w.top), [])
+                for cls in group:
+                    if _glue(_adjoint_diagram(cls[0]), w) is not None:
+                        cls.append(w)
+                        break
+                else:
+                    group.append([w])
+    closures: dict = {}
+    for cls in (cls for group in classes.values() for cls in group):
+        for g in cls:
+            g_star = _adjoint_diagram(g)
+            for f in cls:
+                d = _trace_diagram(_glue(g_star, f))
+                closures[d] = closures.get(d, 0) + 1
+    reached = 0
+    for d, times in closures.items():
+        m = Morphism.from_diagram(d)
+        (value, _), moves = evaluate(m)
+        if moves:
+            reached += times
+            assert value == invariant(m), d
+    assert reached == 6144
