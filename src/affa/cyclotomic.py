@@ -1,10 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_d).
 
 A scalar is a rational polynomial in zeta_d, stored canonically reduced
-modulo the d-th cyclotomic polynomial Phi_d.  Equality of values is
-equality of canonical representations (after embedding into a common
-order), so all downstream rewriting is decidable and bit-exact.  The
-only floating point is `approx`.  It serves display, and one decision:
+modulo the d-th cyclotomic polynomial Phi_d: phi(d) integer numerators
+over one positive denominator, in lowest terms.  `Fraction` appears only
+where values come in (the constructor, `wire.scalar`) and go out
+(`coeffs`, `as_fraction`, `repr`, `to_json`, `approx`).  Equality of
+values is equality of canonical representations (after embedding into a
+common order), so all downstream rewriting is decidable and bit-exact.
+The only floating point is `approx`.  It serves display, and one decision:
 `fusion._positive_real` reads the sign of a non-rational Gram pivot from
 it, raising InvariantBreach when a 1e-9 guard cannot decide the sign.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from affa import wire
 
@@ -52,35 +55,52 @@ def euler_phi(d: int) -> int:
     return len(cyclotomic_poly(d)) - 1
 
 
-def _reduce_mod_phi(coeffs: Sequence[Fraction], d: int) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta_d to the canonical rep of degree < phi(d).
-
-    Returns a tuple of length d padded with zeros above phi(d).
-    """
-    # First fold exponents mod d (zeta^d = 1).
-    folded = [Fraction(0)] * d
-    for i, c in enumerate(coeffs):
-        folded[i % d] += c
+@lru_cache(maxsize=None)
+def _phi_tail(d: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(d), the nonzero (i, c) of Phi_d below its leading term)."""
     phi = cyclotomic_poly(d)
     deg = len(phi) - 1
-    for k in range(d - 1, deg - 1, -1):
-        c = folded[k]
+    return deg, tuple((i, c) for i, c in enumerate(phi[:deg]) if c)
+
+
+def _cyclo(order: int, cs: list[int], den: int, out=None) -> "Cyclo":
+    """sum(cs[i] * zeta_order^i) / den, den > 0, in lowest terms, as `out`
+    (a new Cyclo by default); cs (at least phi(order) entries) is reduced
+    in place modulo Phi_order."""
+    deg, tail = _phi_tail(order)
+    for k in range(len(cs) - 1, deg - 1, -1):
+        c = cs[k]
         if c:
-            folded[k] = Fraction(0)
-            for i in range(deg):
-                folded[k - deg + i] -= c * phi[i]
-    return tuple(folded)
+            base = k - deg
+            for i, p in tail:
+                cs[base + i] -= c * p
+    del cs[deg:]
+    g = math.gcd(den, *cs)
+    if g != 1:
+        cs = [c // g for c in cs]
+        den //= g
+    if out is None:
+        out = object.__new__(Cyclo)
+    _set = object.__setattr__
+    _set(out, "order", order)
+    _set(out, "num", tuple(cs))
+    _set(out, "den", den)
+    return out
 
 
 class Cyclo:
-    """An exact element of Q(zeta_order); immutable."""
+    """sum(num[i] * zeta_order^i) / den in Q(zeta_order); immutable."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, coeffs: Iterable[Fraction | int | str], order: int = 1):
-        object.__setattr__(self, "order", order)
-        cs = [Fraction(c) for c in coeffs]
-        object.__setattr__(self, "coeffs", _reduce_mod_phi(cs, order))
+        fs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+              for c in coeffs]
+        den = math.lcm(*(f.denominator for f in fs))
+        folded = [0] * order
+        for i, f in enumerate(fs):
+            folded[i % order] += f.numerator * (den // f.denominator)
+        _cyclo(order, folded, den, self)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Cyclo is immutable")
@@ -96,19 +116,25 @@ class Cyclo:
 
     @staticmethod
     def from_fraction(q: Fraction | int, order: int = 1) -> "Cyclo":
-        return Cyclo([Fraction(q)], order)
+        return Cyclo([q], order)
 
     # -- basics --------------------------------------------------------
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of zeta^0 .. zeta^(order-1) as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num) + \
+            (Fraction(0),) * (self.order - len(self.num))
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational value")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def embed(self, order: int) -> "Cyclo":
         """Re-express in Q(zeta_order); requires self.order | order."""
@@ -117,24 +143,29 @@ class Cyclo:
         if order % self.order != 0:
             raise ValueError(f"cannot embed order {self.order} into {order}")
         step = order // self.order
-        cs = [Fraction(0)] * order
-        for i, c in enumerate(self.coeffs):
+        cs = [0] * order
+        for i, c in enumerate(self.num):
             cs[i * step] = c
-        return Cyclo(cs, order)
+        return _cyclo(order, cs, self.den)
 
     def _pair(self, other: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
+        if self.order == other.order:
+            return self, other
         d = math.lcm(self.order, other.order)
         return self.embed(d), other.embed(d)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "Cyclo") -> "Cyclo":
         a, b = self._pair(_as_cyclo(other))
-        return Cyclo([x + y for x, y in zip(a.coeffs, b.coeffs)], a.order)
+        den = math.lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        return _cyclo(a.order, [x * sa + y * sb for x, y in zip(a.num, b.num)],
+                      den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo([-c for c in self.coeffs], self.order)
+        return _cyclo(self.order, [-c for c in self.num], self.den)
 
     def __sub__(self, other: "Cyclo") -> "Cyclo":
         return self + (-_as_cyclo(other))
@@ -144,14 +175,14 @@ class Cyclo:
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
         a, b = self._pair(_as_cyclo(other))
-        d = a.order
-        out = [Fraction(0)] * (2 * d)
-        for i, x in enumerate(a.coeffs):
+        bn = b.num
+        out = [0] * (2 * len(bn) - 1)
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(bn, i):
                     if y:
-                        out[i + j] += x * y
-        return Cyclo(out, d)
+                        out[j] += x * y
+        return _cyclo(a.order, out, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -166,7 +197,9 @@ class Cyclo:
             if math.gcd(k, d) == 1:
                 others = others * self._galois(k)
         norm = (self * others).as_fraction()
-        return Cyclo([c / norm for c in others.coeffs], d)
+        scale = norm.denominator if norm > 0 else -norm.denominator
+        return _cyclo(d, [c * scale for c in others.num],
+                      others.den * abs(norm.numerator))
 
     def __truediv__(self, other: "Cyclo") -> "Cyclo":
         return self * _as_cyclo(other).inverse()
@@ -178,10 +211,10 @@ class Cyclo:
     def _galois(self, k: int) -> "Cyclo":
         """The Galois conjugate zeta_d -> zeta_d^k (k coprime to d)."""
         d = self.order
-        cs = [Fraction(0)] * d
-        for i, c in enumerate(self.coeffs):
+        cs = [0] * d
+        for i, c in enumerate(self.num):
             cs[(i * k) % d] += c
-        return Cyclo(cs, d)
+        return _cyclo(d, cs, self.den)
 
     def __pow__(self, k: int) -> "Cyclo":
         if k < 0:
@@ -202,7 +235,7 @@ class Cyclo:
         if not isinstance(other, Cyclo):
             return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # values compare across orders; no canonical hash
 
@@ -223,8 +256,8 @@ class Cyclo:
         z = complex(math.cos(2 * math.pi / self.order),
                     math.sin(2 * math.pi / self.order))
         out = 0j
-        for i in reversed(range(self.order)):
-            out = out * z + complex(self.coeffs[i])
+        for c in reversed(self.coeffs):
+            out = out * z + complex(c)
         return out
 
     # -- serialization ---------------------------------------------------

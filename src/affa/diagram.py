@@ -409,7 +409,7 @@ class Diagram:
                 errors.append(f"stray endpoints: {extra[:4]}")
             return errors
         for s in self.strands:
-            errors.extend(self._check_strand(s))
+            errors.extend(self._check_strand(s, alpha))
         if errors:
             return errors
         # Planarity: genus 0 per connected component.  The faces a walk
@@ -433,10 +433,10 @@ class Diagram:
                 errors.append("inconsistent checkerboard shading at boxes")
         return errors
 
-    def _check_strand(self, s: Strand) -> list[str]:
+    def _check_strand(self, s: Strand, alpha: frozenset[Label]) -> list[str]:
         th = self.theory
         errors = []
-        if s.label not in alphabet(th):
+        if s.label not in alpha:
             return [f"strand label {s.label.value} not in alphabet"]
         sign = ORIENTED_LABELS.get(s.label)
         if s.label is Label.PLAIN:

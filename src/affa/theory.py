@@ -31,6 +31,9 @@ class Family(enum.Enum):
     COLOR_AINF = "UnshadedColorAInf"
     VEC_CYCLIC = "VecCyclicSource"
     SU2_REP = "SUTwoRepSource"
+    # Members are singletons compared by identity, so the identity hash
+    # (in C) agrees with ==; Enum's own hashes the name in Python.
+    __hash__ = object.__hash__
 
 
 class Label(enum.Enum):
@@ -42,6 +45,7 @@ class Label(enum.Enum):
     DOT = "Dot"
     PLUS = "Plus"
     MINUS = "Minus"
+    __hash__ = object.__hash__  # as Family's
 
 
 class BoxKind(enum.Enum):
@@ -55,6 +59,7 @@ class BoxKind(enum.Enum):
     NCAP_MINUS = "NCap-"
     NCUP_PLUS = "NCup+"
     NCUP_MINUS = "NCup-"
+    __hash__ = object.__hash__  # as Family's
 
 
 # Labels carrying an orientation, with their "upward flow" sign.
@@ -386,13 +391,6 @@ def boundary_object(theory: Theory, side: str, role: int) -> Label:
     return up if boundary_flow(up, side) == role else down
 
 
-def dual_label(label: Label) -> Label:
-    """The label seen at the far end of a bent strand."""
-    flips = {Label.UP: Label.DOWN, Label.DOWN: Label.UP,
-             Label.PLUS: Label.MINUS, Label.MINUS: Label.PLUS}
-    return flips.get(label, label)
-
-
 def box_kinds(theory: Theory) -> tuple[BoxKind, ...]:
     return theory.spec.kinds
 
@@ -432,6 +430,15 @@ _ADJOINT.update({v: k for k, v in _ADJOINT.items()})
 
 def kind_adjoint(kind: BoxKind) -> BoxKind:
     return _ADJOINT[kind]
+
+
+_DUAL = {Label.UP: Label.DOWN, Label.DOWN: Label.UP,
+         Label.PLUS: Label.MINUS, Label.MINUS: Label.PLUS}
+
+
+def dual_label(label: Label) -> Label:
+    """The label seen at the far end of a bent strand."""
+    return _DUAL.get(label, label)
 
 
 def star_parity(kind: BoxKind) -> int:

@@ -13,6 +13,8 @@ from affa.cyclotomic import (
     root_power,
 )
 
+F = Fraction
+
 
 def test_cyclotomic_polys_small():
     assert cyclotomic_poly(1) == (-1, 1)
@@ -111,3 +113,116 @@ def test_approx_display_helper():
     v = z8.approx()
     assert math.isclose(v.real, math.cos(math.pi / 4), abs_tol=1e-12)
     assert math.isclose(v.imag, math.sin(math.pi / 4), abs_tol=1e-12)
+
+
+
+# A Fraction reference for the property below: the coefficients of
+# zeta_d^0 .. zeta_d^(d-1), exponents folded mod d, reduced mod Phi_d.
+def _ref(coeffs, d):
+    folded = [Fraction(0)] * d
+    for i, c in enumerate(coeffs):
+        folded[i % d] += Fraction(c)
+    phi = cyclotomic_poly(d)
+    deg = len(phi) - 1
+    for k in range(d - 1, deg - 1, -1):
+        c, folded[k] = folded[k], Fraction(0)
+        for i in range(deg):
+            folded[k - deg + i] -= c * phi[i]
+    return tuple(folded)
+
+
+def _ref_embed(r, d, e):
+    out = [Fraction(0)] * e
+    for i, c in enumerate(r):
+        out[i * (e // d)] = c
+    return _ref(out, e)
+
+
+def _ref_mul(r, s, d):
+    out = [Fraction(0)] * (2 * d)
+    for i, x in enumerate(r):
+        for j, y in enumerate(s):
+            out[i + j] += x * y
+    return _ref(out, d)
+
+
+def _ref_galois(r, d, k):
+    out = [Fraction(0)] * d
+    for i, c in enumerate(r):
+        out[(i * k) % d] += c
+    return _ref(out, d)
+
+
+def _assert_normal(x):
+    assert len(x.num) == euler_phi(x.order)
+    assert all(type(c) is int for c in (x.den, *x.num))
+    assert x.den >= 1 and math.gcd(x.den, *x.num) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    da=st.integers(min_value=1, max_value=12),
+    db=st.integers(min_value=1, max_value=12),
+    data=st.data(),
+)
+def test_integer_arithmetic_matches_fraction_reference(da, db, data):
+    def coeffs(d):
+        return data.draw(st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=6),
+            max_size=2 * d))
+
+    ca, cb = coeffs(da), coeffs(db)
+    a, b = Cyclo(ca, da), Cyclo(cb, db)
+    e = math.lcm(da, db)
+    ra, rb = _ref_embed(_ref(ca, da), da, e), _ref_embed(_ref(cb, db), db, e)
+    assert a.coeffs == _ref(ca, da) and b.coeffs == _ref(cb, db)
+    results = {
+        "+": (a + b, tuple(x + y for x, y in zip(ra, rb))),
+        "-": (a - b, tuple(x - y for x, y in zip(ra, rb))),
+        "*": (a * b, _ref_mul(ra, rb, e)),
+        "conj": (a.conj(), _ref_galois(_ref(ca, da), da, -1)),
+    }
+    for op, (got, want) in results.items():
+        assert got.coeffs == want, op
+        _assert_normal(got)
+    for x in (a, b, -a, a.embed(e)):
+        _assert_normal(x)
+    assert (a == b) == (ra == rb)
+    assert a == Cyclo(ra, e) and b == Cyclo(rb, e)
+    # equal values at one order have equal numerators and denominators
+    same = [a.embed(e), (a + b) - b, (a * b + a) - a * b, Cyclo(ra, e)]
+    assert len({(x.order, x.num, x.den) for x in same}) == 1
+    if not a.is_zero():
+        inv = a.inverse()
+        _assert_normal(inv)
+        assert _ref_mul(inv.coeffs, _ref(ca, da), da) == _ref([1], da)
+
+
+# repr and to_json of fixed values, as printed before integer numerators.
+# One value per order: whether a value of Q(zeta_3) prints at order 3 or 6
+# depends on the order it was computed in, and is not pinned here.
+PRINTED = [
+    (Cyclo.zero(), "0", ["0"]),
+    (Cyclo.zero(8), "0", ["0"] * 8),
+    (Cyclo([F(1, 2)]), "1/2", ["1/2"]),
+    (Cyclo([F(7, 3), -2], 3), "7/3 + -2*z3", ["7/3", "-2", "0"]),
+    (Cyclo([F(1, 2), 0, F(7, 3)], 4), "-11/6", ["-11/6", "0", "0", "0"]),
+    (Cyclo([0, F(1, 2), F(7, 3)], 6), "-7/3 + 17/6*z6",
+     ["-7/3", "17/6", "0", "0", "0", "0"]),
+    (Cyclo([1, F(1, 2), 0, F(-7, 3)], 8), "1 + 1/2*z8 + -7/3*z8^3",
+     ["1", "1/2", "0", "-7/3", "0", "0", "0", "0"]),
+    (Cyclo([F(1, 2), -2, 0, F(7, 3)], 12), "1/2 + -2*z12 + 7/3*z12^3",
+     ["1/2", "-2", "0", "7/3"] + ["0"] * 8),
+    (Cyclo([2, 1], 3).inverse(), "1/3 + -1/3*z3", ["1/3", "-1/3", "0"]),
+    (Cyclo([1, 1], 8).inverse(), "1/2 + -1/2*z8 + 1/2*z8^2 + -1/2*z8^3",
+     ["1/2", "-1/2", "1/2", "-1/2", "0", "0", "0", "0"]),
+    (Cyclo([F(1, 2), 0, 0, 0, F(7, 3)], 12).inverse(),
+     "18/163 + -84/163*z12^2", ["18/163", "0", "-84/163"] + ["0"] * 9),
+]
+
+
+@pytest.mark.parametrize("value, text, coeffs", PRINTED,
+                         ids=[t for _, t, _ in PRINTED])
+def test_printed_forms_are_unchanged(value, text, coeffs):
+    assert repr(value) == text
+    assert value.to_json() == {"order": value.order, "coeffs": coeffs}

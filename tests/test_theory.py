@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from affa.cyclotomic import Cyclo
@@ -82,6 +84,21 @@ def test_alphabets_and_duals():
     assert dual_label(Label.RED) is Label.RED
     assert kind_adjoint(BoxKind.U) is BoxKind.USTAR
     assert kind_adjoint(BoxKind.NCUP_MINUS) is BoxKind.NCAP_MINUS
+
+
+@pytest.mark.parametrize("enum_type", [Family, Label, BoxKind],
+                         ids=lambda t: t.__name__)
+def test_enum_members_hash_by_identity_soundly(enum_type):
+    # A str mixin would make members equal to their values, which the
+    # identity hash does not honour.
+    assert Label.RED != "Red"
+    assert Label("Red") is Label.RED
+    table = {m: i for i, m in enumerate(enum_type)}
+    for i, m in enumerate(enum_type):
+        assert m != m.value
+        assert table[enum_type(m.value)] == i
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(m, proto)) is m
 
 
 def test_theory_validation():
