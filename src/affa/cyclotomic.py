@@ -219,14 +219,10 @@ class Cyclo:
     def __pow__(self, k: int) -> "Cyclo":
         if k < 0:
             return self.inverse() ** (-k)
-        out = Cyclo.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if k <= 1:
+            return self if k else Cyclo.one(self.order)
+        half = self ** (k >> 1)
+        return half * half * self if k & 1 else half * half
 
     # -- comparison ----------------------------------------------------
     def __eq__(self, other) -> bool:

@@ -3,11 +3,13 @@
 A Diagram is a rotation system: boxes with counterclockwise leg orders,
 degree-2 anchor vertices hosting free loops, and (for open diagrams) a
 single collapsed boundary vertex.  Strands are a perfect matching on
-endpoints.  Planarity is the genus-0 Euler check per connected
-component, so equality of diagrams is decidable structure equality and
-isotopy invariance holds by construction.  One walk from face to face
-across strands (`walk_faces`) finds the components, the checkerboard
-parities of shaded diagrams and the region labels of `affa.labeling`.
+endpoints.  Planarity is one Euler count, V - E + F = 2C over the C
+connected components, so equality of diagrams is decidable structure
+equality and isotopy invariance holds by construction.  A diagram's
+`FaceTable`, built on first use, holds its faces for `validate`, the
+shading check and `affa.labeling`; one walk from face to face across
+strands (`walk_faces`) finds the components, the checkerboard parities
+and the region labels.
 
 Endpoints are tuples:
     ("bnd", "bottom"|"top", i)   boundary point
@@ -43,10 +45,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from affa import wire
 from affa.cyclotomic import Cyclo
@@ -257,6 +260,45 @@ def walk_faces(n_faces: int, crossings: Iterable[tuple[int, int, object]],
     return labels, root
 
 
+class FaceTable(NamedTuple):
+    """A diagram's rotation system: each vertex's endpoints ccw (boundary,
+    boxes, anchors), the strand at each endpoint and, if the strands use
+    exactly those endpoints, `index`: the faces and each endpoint's face."""
+    rotations: tuple[tuple[Endpoint, ...], ...]
+    strand_at: dict[Endpoint, Strand]
+    index: tuple[tuple[tuple[Endpoint, ...], ...], dict[Endpoint, int]] | None
+
+
+def _face_table(d: Diagram) -> FaceTable:
+    """d's FaceTable; ValueError if a strand endpoint is used twice."""
+    rotations = (
+        (*(bnd("top", j) for j in range(len(d.top))),
+         *(bnd("bottom", i) for i in reversed(range(len(d.bottom))))),
+        *(tuple(boxleg(b, c) for c in range(leg_count(d.theory, kind)))
+          for b, (kind, _) in enumerate(d.boxes)),
+        *((anchor(a, 0), anchor(a, 1)) for a in range(d.n_anchors)))
+    strand_at: dict[Endpoint, Strand] = {}
+    for s in d.strands:
+        for e in (s.a, s.b):
+            if e in strand_at:
+                raise ValueError(f"endpoint {e} used twice")
+            strand_at[e] = s
+    succ = {e: f for rot in rotations for e, f in zip(rot, rot[1:] + rot[:1])}
+    if succ.keys() != strand_at.keys():
+        return FaceTable(rotations, strand_at, None)
+    faces: list[tuple[Endpoint, ...]] = []
+    face_of: dict[Endpoint, int] = {}
+    for e in sorted(succ, key=_ep_key):
+        face = []
+        while e not in face_of:
+            face_of[e] = len(faces)
+            face.append(e)
+            e = succ[strand_at[e].other(e)]
+        if face:
+            faces.append(tuple(face))
+    return FaceTable(rotations, strand_at, (tuple(faces), face_of))
+
+
 @dataclass(frozen=True)
 class Diagram:
     theory: Theory
@@ -299,61 +341,32 @@ class Diagram:
                 s.label, s.dir) for s in out]
         return _with_loops(theory, bottom, top, boxes, out, loops)
 
-    # -- structural helpers -------------------------------------------
+    # -- rotation system ------------------------------------------------
+    @cached_property
+    def _table(self) -> FaceTable:
+        return _face_table(self)
+
     def endpoint_map(self) -> dict[Endpoint, Strand]:
-        out: dict[Endpoint, Strand] = {}
-        for s in self.strands:
-            for e in (s.a, s.b):
-                if e in out:
-                    raise ValueError(f"endpoint {e} used twice")
-                out[e] = s
-        return out
+        """The strand at each endpoint; ValueError if one is used twice."""
+        return self._table.strand_at
 
     def is_closed(self) -> bool:
         return not self.bottom and not self.top
 
-    # -- rotation system ------------------------------------------------
-    def vertex_of(self, e: Endpoint) -> tuple:
-        if e[0] == "bnd":
-            return ("bnd",)
-        return (e[0], e[1])
+    def faces(self) -> tuple[tuple[Endpoint, ...], ...]:
+        """Face orbits of the rotation system.  Each face is the cyclic
+        tuple of endpoints it sweeps; every endpoint lies in exactly one
+        face.  Each vertex's endpoints run counterclockwise (all vertices
+        viewed from the same side of the sphere); the collapsed boundary
+        vertex sits at infinity, hence runs the square boundary
+        clockwise."""
+        return self.face_index()[0]
 
-    def faces(self) -> list[list[Endpoint]]:
-        """Face orbits of the rotation system.  Each face is the cyclic list
-        of endpoints it sweeps; every endpoint lies in exactly one face.
-        Each vertex's endpoints run counterclockwise (all vertices viewed
-        from the same side of the sphere); the collapsed boundary vertex
-        sits at infinity, hence runs the square boundary clockwise."""
-        emap = self.endpoint_map()
-        rots = [[bnd("top", j) for j in range(len(self.top))]
-                + [bnd("bottom", i)
-                   for i in reversed(range(len(self.bottom)))]]
-        rots += [[boxleg(b, c) for c in range(leg_count(self.theory, kind))]
-                 for b, (kind, _) in enumerate(self.boxes)]
-        rots += [[anchor(a, 0), anchor(a, 1)] for a in range(self.n_anchors)]
-        succ: dict[Endpoint, Endpoint] = {}
-        for rot in rots:
-            for i, e in enumerate(rot):
-                succ[e] = rot[(i + 1) % len(rot)]
-        faces = []
-        seen: set[Endpoint] = set()
-        for e0 in sorted(succ, key=_ep_key):
-            if e0 in seen:
-                continue
-            face = []
-            e = e0
-            while True:
-                face.append(e)
-                seen.add(e)
-                e = succ[emap[e].other(e)]
-                if e == e0:
-                    break
-            faces.append(face)
-        return faces
-
-    def face_index(self) -> tuple[list[list[Endpoint]], dict[Endpoint, int]]:
-        faces = self.faces()
-        return faces, {e: fi for fi, f in enumerate(faces) for e in f}
+    def face_index(self) -> tuple[tuple, dict[Endpoint, int]]:
+        """The faces and each endpoint's face, the same pair every call."""
+        if self._table.index is None:
+            raise ValueError("faces need every endpoint on one strand")
+        return self._table.index
 
     def star_face_endpoint(self, b: int) -> Endpoint:
         """The endpoint whose face corner is the star corner of box b
@@ -368,9 +381,10 @@ class Diagram:
         endpoint used twice, a strand at an anchor that is not a loop from
         side 0 to side 1 of that anchor, endpoints other than the boundary
         points, box legs and anchors 0..n_anchors-1, a strand label or
-        flow its endpoints refuse, a non-planar component, and in shaded
+        flow its endpoints refuse, an Euler count V - E + F other than 2C
+        over its C components (one of them is not planar), and in shaded
         theories boxes no checkerboard shading fits.  It reads the diagram
-        as written, before `make` numbers it."""
+        as written, before `make` numbers it, through its FaceTable."""
         errors: list[str] = []
         th = self.theory
         alpha = alphabet(th)
@@ -384,7 +398,7 @@ class Diagram:
             if not (0 <= rot < leg_count(th, kind)):
                 errors.append(f"box {i}: rotation {rot} out of range")
         try:
-            emap = self.endpoint_map()
+            table = self._table
         except ValueError as exc:
             return errors + [str(exc)]
         for s in self.strands:
@@ -393,45 +407,32 @@ class Diagram:
                     (s.a, s.b) != (anchor(e[1], 0), anchor(e[1], 1)):
                 errors.append(f"anchor {e[1]} side {e[2]} is not on a loop "
                               f"from side 0 to side 1 of anchor {e[1]}")
-        expected: set[Endpoint] = set()
-        expected.update(bnd("bottom", i) for i in range(len(self.bottom)))
-        expected.update(bnd("top", i) for i in range(len(self.top)))
-        for i, (kind, _) in enumerate(self.boxes):
-            expected.update(boxleg(i, c) for c in range(leg_count(th, kind)))
-        expected.update(anchor(i, s) for i in range(self.n_anchors)
-                        for s in (0, 1))
-        if set(emap) != expected:
-            missing = sorted(expected - set(emap), key=_ep_key)
-            extra = sorted(set(emap) - expected, key=_ep_key)
-            if missing:
+        if table.index is None:
+            ends, used = set(chain(*table.rotations)), table.strand_at.keys()
+            if missing := sorted(ends - used, key=_ep_key):
                 errors.append(f"uncovered endpoints: {missing[:4]}")
-            if extra:
+            if extra := sorted(used - ends, key=_ep_key):
                 errors.append(f"stray endpoints: {extra[:4]}")
             return errors
         for s in self.strands:
             errors.extend(self._check_strand(s, alpha))
         if errors:
             return errors
-        # Planarity: genus 0 per connected component.  The faces a walk
-        # across strands reaches from one face are one component's faces,
-        # and each of its strands has both endpoints on them.
-        faces, face_of = self.face_index()
+        # Planarity: V - E + F = 2 on each connected component, so 2C over
+        # all C of them.  The faces a walk across strands reaches from one
+        # face are one component's faces.
+        faces, face_of = table.index
         _, root = walk_faces(len(faces), [
             (face_of[e], face_of[s.other(e)], 1)
             for s in self.strands for e in (s.a, s.b)], 1)
-        for r in sorted(set(root)):
-            fs = [face for face, fr in zip(faces, root) if fr == r]
-            ends = [e for face in fs for e in face]
-            n_v, n_e = len({self.vertex_of(e) for e in ends}), len(ends) // 2
-            if n_v - n_e + len(fs) != 2:
-                errors.append(f"non-planar component: V={n_v} "
-                              f"E={n_e} F={len(fs)}")
-        if errors:
-            return errors
-        if th.is_shaded() and self.boxes:
-            if not self._shading_consistent(faces, face_of):
-                errors.append("inconsistent checkerboard shading at boxes")
-        return errors
+        n_v, n_e = sum(map(bool, table.rotations)), len(self.strands)
+        n_f, n_c = len(faces), len(set(root))
+        if n_v - n_e + n_f != 2 * n_c:
+            return [f"non-planar: V={n_v} E={n_e} F={n_f} "
+                    f"over {n_c} components"]
+        if not self._shading_consistent():
+            return ["inconsistent checkerboard shading at boxes"]
+        return []
 
     def _check_strand(self, s: Strand, alpha: frozenset[Label]) -> list[str]:
         th = self.theory
@@ -445,7 +446,7 @@ class Diagram:
             for e in (s.a, s.b):
                 if e[0] == "box":
                     errors.append("plain strand cannot end on a box leg")
-                elif e[0] == "bnd" and self._bnd_label(e) is not Label.PLAIN:
+                elif e[0] == "bnd" and self._end(e)[0] is not Label.PLAIN:
                     errors.append("plain strand at a labeled boundary point")
             return errors
         if sign is None:
@@ -472,24 +473,25 @@ class Diagram:
                 f"strand label {s.label.value} != source object {obj.value}")
         return errors
 
-    def _bnd_label(self, e: Endpoint) -> Label:
-        return (self.bottom if e[1] == "bottom" else self.top)[e[2]]
-
     def _end(self, e: Endpoint) -> tuple[Label | None, int]:
         """The label at e and the flow role it requires there (SRC/SNK,
         or 0 if unconstrained); (None, 0) at anchors."""
         if e[0] == "bnd":
-            lab = self._bnd_label(e)
+            lab = (self.bottom if e[1] == "bottom" else self.top)[e[2]]
             return lab, boundary_flow(lab, e[1])
         if e[0] == "box":
             kind, rot = self.boxes[e[1]]
             return self.theory.leg(kind, rot, e[2])
         return None, 0
 
-    def _shading_consistent(self, faces, face_of) -> bool:
+    def _shading_consistent(self) -> bool:
         """Exists a checkerboard parity per component matching all boxes:
         the sign of a walk flipping it across every strand, consistent as
-        every vertex of a planar diagram has even degree."""
+        every vertex of a planar diagram has even degree.  True unless the
+        theory is shaded and there are boxes."""
+        if not (self.theory.is_shaded() and self.boxes):
+            return True
+        faces, face_of = self.face_index()
         sign, root = walk_faces(len(faces), [
             (face_of[e], face_of[s.other(e)], -1)
             for s in self.strands for e in (s.a, s.b)], 1)
@@ -893,11 +895,7 @@ def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
             lab, dir = label or Label.PLAIN, 0
         out.append(Strand(anchor(0, 0), anchor(0, 1), lab, dir))
     d = Diagram.make(theory, bottom, top, boxes, out)
-    if theory.is_shaded() and d.boxes:
-        faces, face_of = d.face_index()
-        if not d._shading_consistent(faces, face_of):
-            return None
-    return d
+    return d if d._shading_consistent() else None
 
 
 def _glue(a: Diagram, b: Diagram) -> Diagram | None:

@@ -7,8 +7,10 @@ strands by the generator u of a cyclic group (crossing left-to-right
 relative to the arrow).  The outermost region of each component gets the
 identity.  Each box then reads an integer off the label of the region
 its star corner sits in, and the diagram's value is the declared root of
-unity raised to the sum of those integers.  The labels come from
-`diagram.walk_faces`, which fails if a region would get two labels.
+unity raised to the sum of those integers.  The regions are the faces
+of the diagram's `FaceTable`, the one `Diagram.validate` reads, and the
+labels come from `diagram.walk_faces`, which fails if a region would get
+two labels.
 """
 
 from __future__ import annotations
@@ -117,13 +119,12 @@ class RegionLabeling:
     labels: dict
 
 
-def regions(d: Diagram) -> list[list]:
+def regions(d: Diagram) -> tuple[tuple, ...]:
     """The faces of the diagram; a strand-free diagram is one region."""
     errs = d.validate()
     if errs:
         raise ValueError("invalid diagram: " + "; ".join(errs))
-    faces = d.faces()
-    return faces if faces else [[]]
+    return d.faces() or ((),)
 
 
 def _crossing(theory: Theory, s, face_of,
@@ -160,13 +161,12 @@ def label_regions(d: Diagram, start_face: int | None = None) -> RegionLabeling:
     dihedral, order = d.theory.labeling_group()
     ident = GroupElement.identity(dihedral, order)
     faces = regions(d)
-    face_of = {e: fi for fi, f in enumerate(faces) for e in f}
+    face_of = d.face_index()[1]
     labels, _ = walk_faces(
         len(faces),
         [c for s in d.strands for c in _crossing(d.theory, s, face_of, ident)],
         ident, () if start_face is None else (start_face,))
-    return RegionLabeling(tuple(tuple(f) for f in faces),
-                          dict(enumerate(labels)))
+    return RegionLabeling(faces, dict(enumerate(labels)))
 
 
 def _box_ell(g: GroupElement, kind: BoxKind) -> int:
@@ -184,7 +184,7 @@ def term_exponent(d: Diagram) -> tuple[RegionLabeling, int]:
     strands, and the exponent of the root it evaluates to: the sum of
     its box star-region integers, reduced mod the group order."""
     lab = label_regions(d)
-    face_of = {e: fi for fi, f in enumerate(lab.faces) for e in f}
+    face_of = d.face_index()[1]
     ell = sum(_box_ell(lab.labels[face_of[d.star_face_endpoint(b)]], kind)
               for b, (kind, _) in enumerate(d.boxes))
     return lab, ell % d.theory.group_order()

@@ -33,6 +33,26 @@ def test_canonicalize_examples():
     assert Cyclo([0] * 6 + [1], 6) == Cyclo.one(6)
 
 
+def test_pow_multiplies_only_while_bits_remain(monkeypatch):
+    calls = []
+    mul = Cyclo.__mul__
+    monkeypatch.setattr(Cyclo, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    z8 = root_power(8, 1)
+    counts = []
+    for k in (1, 2, 3, 4, 8):
+        calls.clear()
+        assert z8 ** k == root_power(8, k)
+        counts.append(len(calls))
+    assert counts == [0, 1, 2, 2, 3]
+    monkeypatch.undo()
+    assert z8 ** 0 == Cyclo.one(8) and (z8 ** 0).order == 8
+    assert z8 ** -3 == root_power(8, -3)
+    assert Cyclo.from_fraction(F(2, 3)) ** -2 == Cyclo.from_fraction(F(9, 4))
+    with pytest.raises(ZeroDivisionError):
+        Cyclo.zero() ** -1
+
+
 def test_arith_examples():
     z4 = root_power(4, 1)
     assert z4 * z4 == Cyclo.from_fraction(-1)

@@ -92,6 +92,35 @@ def test_crossing_is_rejected():
     assert d.validate() == []
 
 
+def test_planarity_is_counted_per_component():
+    # the crossing arcs (V=1, E=2, F=1) beside a free loop (V=1, E=1,
+    # F=2): V - E + F is 2 in all, but 2 per component is 4
+    s1 = Strand(bnd("top", 0), bnd("top", 2), Label.RED)
+    s2 = Strand(bnd("top", 1), bnd("top", 3), Label.RED)
+    loop = Strand(anchor(0, 0), anchor(0, 1), Label.RED)
+    d = Diagram.make(SH2, [], [Label.RED] * 4, [], [s1, s2, loop])
+    assert d.validate() == ["non-planar: V=2 E=3 F=3 over 2 components"]
+
+
+def test_one_face_table_serves_every_reader(monkeypatch):
+    # _splice's shading check builds the table of the diagram it makes;
+    # validate, the region labels and the exponent read that same table
+    import affa.diagram
+    from affa.labeling import label_regions, term_exponent
+    built = []
+    build = affa.diagram._face_table
+    monkeypatch.setattr(affa.diagram, "_face_table",
+                        lambda d: built.append(d) or build(d))
+    u = Morphism.generator(SH2, BoxKind.U)
+    d = the_diagram(u.adjoint().compose(u).trace_close())
+    assert d.boxes and sum(x is d for x in built) == 1
+    assert d.validate() == []
+    lab = label_regions(d)
+    assert term_exponent(d)[0].faces is lab.faces is d.faces()
+    assert sum(x is d for x in built) == 1
+    assert d.face_index() is d.face_index()
+
+
 def test_label_mismatch_is_rejected():
     s = Strand(bnd("bottom", 0), bnd("top", 0), Label.RED)
     d = Diagram.make(SH2, [Label.BLUE], [Label.RED], [], [s])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affa.cyclotomic import Cyclo, root_power
 from affa.fusion import (
     FusionGraph,
     Word,
@@ -189,18 +190,30 @@ def test_non_real_pivot_is_an_invariant_breach():
         _positive_real(root_power(4, 1))
 
 
+X5 = root_power(5, 1) + root_power(5, 4)
+PHI5 = -(root_power(5, 2) + root_power(5, 3))
+
+
 @pytest.mark.parametrize("rows, expected", [
     ([[0, 1], [1, 0]], (2, False)),                    # a 2x2 pivot
     ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (3, False)),   # 2x2, then -2
     ([[1, 0], [0, -1]], (2, False)),
     ([[1, 1], [1, 1]], (1, True)),
     ([[0] * 3] * 3, (0, True)),
+    # Q(z5), where the sign of a non-rational pivot is read from its
+    # floating-point value: x = 2cos(2pi/5) ~ 0.618 and its Galois
+    # conjugate phi = -2cos(4pi/5) ~ 1.618, so 1 - x^2 > 0 > 1 - phi^2
+    ([[X5]], (1, True)),
+    ([[-X5]], (1, False)),
+    ([[1, X5], [X5, 1]], (2, True)),
+    ([[1, PHI5], [PHI5, 1]], (2, False)),
 ])
 def test_rank_and_psd_off_the_gram_path(rows, expected):
-    # no Gram matrix reaches a negative or a 2x2 pivot
-    from affa.cyclotomic import Cyclo
+    # no Gram matrix reaches a negative or a 2x2 pivot, nor (in any
+    # workload, CLI golden or demo) a non-rational pivot
     from affa.fusion import _rank_and_psd
-    matrix = [[Cyclo.from_fraction(x) for x in row] for row in rows]
+    matrix = [[x if isinstance(x, Cyclo) else Cyclo.from_fraction(x)
+               for x in row] for row in rows]
     assert _rank_and_psd(matrix) == expected
 
 
