@@ -1,16 +1,17 @@
 """Enumeration of the affine-A presentations and their classification.
 
 A presentation is a theory: a family, a size parameter, and a root of
-unity.  The complete isomorphism invariant is the pair (duality type of
-the strand generator, click eigenvalue): the strand generator is either
-self-dual (shaded and color cases) or dual to its reverse (arrow case),
-and the eigenvalue of the one-notch rotation on the generator box is the
-declared root, unchanged by either of the two possible generator
-relabelings.  Isomorphism testing therefore reduces to comparing these
-invariants, with the eigenvalue recomputed through the evaluator rather
-than read off the declaration.  Classifying a family computes one
-eigenvalue per presentation and compares it with those of the classes
-found so far.
+unity.  The count of presentations follows from the click table: a full
+turn of a generator is the identity, so root**N = 1 with N the turn's
+click exponent sum (`Theory.root_bound`).  The complete isomorphism
+invariant (`_invariant`) is the pair (duality type of the strand
+generator, click eigenvalue): the strand generator is either self-dual
+(shaded and color cases) or dual to its reverse (arrow case), and the
+eigenvalue of the one-notch rotation on the generator box is the
+declared root, unchanged by either generator relabeling.  So isomorphism
+testing compares invariants, the eigenvalue recomputed through the
+evaluator, not read off the declaration; classifying a family computes
+one per presentation and compares it with those of the classes so far.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ FAMILY_KEYS = tuple(_KEY_FAMILIES)
 
 
 def enumerate_presentations(family: str, n: int | None = None) -> list[Theory]:
-    """Every presentation in the given family at size n.
+    """Every presentation in the given family at size n, one per root.
 
     Families: 'shaded-a-odd' (n choices of sigma), 'unshaded-a-odd'
     (2n arrow choices of omega plus n color choices of tau), 'a-even'
@@ -48,16 +49,6 @@ def enumerate_presentations(family: str, n: int | None = None) -> list[Theory]:
         raise ValueError("finite families need a positive size parameter")
     return [Theory.with_root(fam, n, k) for fam in fams
             for k in range(Theory(fam, n).root_bound())]
-
-
-def _duality_case(th: Theory) -> str:
-    """How the strand generator pairs with its dual: the arrow strand is
-    dual to its reverse, the color and shaded strands are self-dual."""
-    if th.is_oriented():
-        return "arrow"
-    if th.is_shaded():
-        return "shaded"
-    return "color"
 
 
 def click_eigenvalue(th: Theory) -> Cyclo:
@@ -77,6 +68,16 @@ def click_eigenvalue(th: Theory) -> Cyclo:
     return inner_product(h, g.click(1)) / inner_product(h, h)
 
 
+def _invariant(th: Theory) -> tuple:
+    """(duality type, n, family, click eigenvalue or None when box-free),
+    equal exactly for isomorphic presentations.  The arrow strand is dual
+    to its reverse; the color and shaded strands are self-dual."""
+    duality = ("arrow" if th.is_oriented() else
+               "shaded" if th.is_shaded() else "color")
+    return (duality, th.n, th.family,
+            click_eigenvalue(th) if box_kinds(th) else None)
+
+
 def are_isomorphic(t1: Theory, t2: Theory) -> tuple[bool, str]:
     """Decide isomorphism of two presentations; returns (answer, reason).
 
@@ -85,14 +86,15 @@ def are_isomorphic(t1: Theory, t2: Theory) -> tuple[bool, str]:
     eigenvalues agree (a generator relabeling either fixes or swaps the
     generator pair, and both options preserve the eigenvalue).
     """
-    if _duality_case(t1) != _duality_case(t2):
+    (dual1, *graph1, eig1), (dual2, *graph2, eig2) = map(_invariant, (t1, t2))
+    if dual1 != dual2:
         return False, ("the strand generator's duality type differs "
                        "(self-dual vs dual to its reverse)")
-    if t1.n != t2.n or t1.family != t2.family:
+    if graph1 != graph2:
         return False, "the principal graphs differ"
-    if not box_kinds(t1):
+    if eig1 is None:
         return True, "identical box-free presentations"
-    if click_eigenvalue(t1) != click_eigenvalue(t2):
+    if eig1 != eig2:
         return False, ("the click eigenvalues differ under both "
                        "generator relabelings")
     return True, "matching duality type and click eigenvalue"
@@ -104,19 +106,17 @@ def classify_presentations(family: str, n: int | None = None
     when box-free) and its isomorphism class, classes numbered in order of
     first appearance.
 
-    One eigenvalue is computed per presentation and compared against the
-    class representatives by `are_isomorphic`'s test."""
+    One invariant is computed per presentation and compared against those
+    of the class representatives, as `are_isomorphic` compares two."""
     rows = []
-    reps: list[tuple[tuple, Cyclo | None]] = []
+    reps: list[tuple] = []
     for th in enumerate_presentations(family, n):
-        eig = click_eigenvalue(th) if box_kinds(th) else None
-        key = (_duality_case(th), th.n, th.family)
-        cls = next((c for c, (k, e) in enumerate(reps)
-                    if k == key and e == eig), None)
+        key = _invariant(th)
+        cls = next((c for c, k in enumerate(reps) if k == key), None)
         if cls is None:
             cls = len(reps)
-            reps.append((key, eig))
-        rows.append((th, eig, cls))
+            reps.append(key)
+        rows.append((th, key[-1], cls))
     return rows
 
 

@@ -346,10 +346,6 @@ class Diagram:
     def _table(self) -> FaceTable:
         return _face_table(self)
 
-    def endpoint_map(self) -> dict[Endpoint, Strand]:
-        """The strand at each endpoint; ValueError if one is used twice."""
-        return self._table.strand_at
-
     def is_closed(self) -> bool:
         return not self.bottom and not self.top
 
@@ -732,6 +728,8 @@ class Morphism:
 
     # -- serialization -----------------------------------------------------
     def serialize(self) -> bytes:
+        for order in {c.order for c in self.terms.values()}:
+            _check_scalar_order(self.theory, order)
         terms = [d.to_json(c) for d, c in sorted(
             self.terms.items(), key=lambda kv: repr(kv[0]))]
         doc = {"theory": self.theory.to_json(),
@@ -750,20 +748,27 @@ class Morphism:
         th, bottom, top = _read_boundary(doc)
         terms = wire.items(doc.get("terms", []), "terms")
         one = {"order": 1, "coeffs": ["1"]}
-        bound = th.root_bound() if th.spec.root_bound else 1
 
         def coeff(obj) -> Cyclo:
             # Cyclo builds one entry per unit of order, so a huge order is
             # refused before it is built
             coeffs, order = wire.scalar(obj)
-            if bound % order:
-                raise ValueError(f"scalar order {order} does not divide "
-                                 f"the theory's root bound {bound}")
+            _check_scalar_order(th, order)
             return Cyclo(coeffs, order)
 
         return Morphism(th, bottom, top,
                         ((Diagram.from_json(t), coeff(t.get("coeff", one)))
                          for t in terms))
+
+
+def _check_scalar_order(th: Theory, order: int) -> None:
+    """Refuse order d unless Q(zeta_d) lies in the theory's root field
+    Q(zeta_N): unless d divides lcm(2, N), N the root bound (1 unboxed)."""
+    bound = th.root_bound() if th.spec.kinds else 1
+    field = bound if bound % 2 == 0 else 2 * bound
+    if field % order:
+        raise ValueError(f"scalar order {order} does not divide {field}, "
+                         "the order of the theory's root field")
 
 
 def _read_boundary(obj) -> tuple[Theory, list[Label], list[Label]]:

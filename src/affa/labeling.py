@@ -120,10 +120,8 @@ class RegionLabeling:
 
 
 def regions(d: Diagram) -> tuple[tuple, ...]:
-    """The faces of the diagram; a strand-free diagram is one region."""
-    errs = d.validate()
-    if errs:
-        raise ValueError("invalid diagram: " + "; ".join(errs))
+    """The faces of a valid diagram (`from_json` checks one read from
+    outside); a strand-free diagram is one region."""
     return d.faces() or ((),)
 
 
@@ -187,7 +185,7 @@ def term_exponent(d: Diagram) -> tuple[RegionLabeling, int]:
     face_of = d.face_index()[1]
     ell = sum(_box_ell(lab.labels[face_of[d.star_face_endpoint(b)]], kind)
               for b, (kind, _) in enumerate(d.boxes))
-    return lab, ell % d.theory.group_order()
+    return lab, ell % d.theory.root_bound()
 
 
 def invariant(m: Morphism) -> Cyclo:

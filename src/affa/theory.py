@@ -1,10 +1,11 @@
 """Presentations: families, strand alphabets, box signatures, click behavior.
 
 Each family's presentation is one frozen FamilySpec in `SPECS`: its
-strand alphabet, box signatures, click table and the groups its regions
-and simple objects are graded by.  A Theory pins down one presentation:
-the family, the size parameter n (or m for the source categories), and
-the chosen root of unity given as (order, exponent).  Everything
+strand alphabet, box signatures and click table, off which the root's
+order bound and the groups its regions and simple objects are graded by
+are read.  A Theory pins down one presentation: the family, the size
+parameter n (or m for the source categories), and the chosen root of
+unity given as (order, exponent).  Everything
 downstream (diagram validity, rewriting scalars, region labeling groups,
 gradings) reads the family's spec through the functions here.
 """
@@ -81,35 +82,33 @@ Signature = tuple[tuple[Label, ...], tuple[Label, ...]]
 class FamilySpec:
     """One family's presentation and the facts read off it.
 
-    `category` is "finite", "infinite" (no size parameter, no root, no
-    boxes) or "source" (a source category, evaluated through its functor
-    image).
-    `plain` is the pair (P1, Q1) of labels a plain strand splits into.
-    `root_bound(n)` is the order the root must divide; for the families
-    with a region labeling (`group` "dihedral" or "cyclic") it is also the
-    order of the labeling group's rotation part.  `grading_order(n)`
-    counts the simple classes.  `r_strand` is the colour whose crossing
-    multiplies a region label by the reflection r (the other colour gives
-    b).  `boxes` maps each box kind to its (bottom, top) signature as a
-    function of n; an adjoint pair has swapped signatures.  `click` maps
-    a box kind to the kind one notch of the Fourier transform turns it
-    into and the exponent of the root it costs; `clicks` adds the inverse
-    direction and `orbits` groups the kinds by click orbit.
+    Stated: `alphabet`; `plain`, the pair (P1, Q1) a plain strand splits
+    into; `shaded`; `r_strand`, the colour whose crossing multiplies a
+    region label by the reflection r (the other colour gives b);
+    `conjugate_image`, a source whose functor image takes the conjugate
+    root; `boxes`, each kind's (bottom, top) signature as a function of
+    n (an adjoint pair has swapped signatures); `click`, the kind one
+    notch of the Fourier transform turns a kind into and its root
+    exponent.  Read off: `category`, "infinite" without boxes, "finite"
+    when they click, else "source" (evaluated through its functor
+    image); `oriented`, a label carries an orientation; `group`, None
+    for a source, else "cyclic" when oriented and "dihedral" when not;
+    `clicks`, `click` both ways; `orbits`, the kinds by click orbit.
+    The root's order bound, and so the count of presentations, follows
+    from the click table (`Theory.root_bound`).
     """
 
-    category: str
     alphabet: tuple[Label, ...]
     plain: tuple[Label, Label]
-    oriented: bool = False
     shaded: bool = False
-    group: str | None = None
-    root_bound: Callable[[int], int] | None = None
-    grading_order: Callable[[int], int] | None = None
     r_strand: Label | None = None
     conjugate_image: bool = False
     boxes: Mapping[BoxKind, Callable[[int], Signature]] = \
         field(default_factory=dict)
     click: Mapping[BoxKind, tuple[BoxKind, int]] = field(default_factory=dict)
+    category: str = field(init=False)
+    oriented: bool = field(init=False)
+    group: str | None = field(init=False)
     kinds: tuple[BoxKind, ...] = field(init=False)
     clicks: Mapping[tuple[BoxKind, int], tuple[BoxKind, int]] = \
         field(init=False)
@@ -129,6 +128,13 @@ class FamilySpec:
             while (nxt := self.click[orbit[-1]][0]) is not kind:
                 orbit.append(nxt)
             groups.setdefault(min(k.value for k in orbit), []).append(kind)
+        category = ("infinite" if not self.boxes
+                    else "finite" if self.click else "source")
+        oriented = any(lab in ORIENTED_LABELS for lab in self.alphabet)
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "oriented", oriented)
+        object.__setattr__(self, "group", None if category == "source"
+                           else "cyclic" if oriented else "dihedral")
         object.__setattr__(self, "kinds", tuple(self.boxes))
         object.__setattr__(self, "clicks", clicks)
         object.__setattr__(self, "orbits",
@@ -161,47 +167,33 @@ _U, _US, _V, _VS = BoxKind.U, BoxKind.USTAR, BoxKind.V, BoxKind.VSTAR
 
 SPECS: dict[Family, FamilySpec] = {
     Family.SHADED_AODD: FamilySpec(
-        "finite", _CHECKER, (Label.RED, Label.BLUE), shaded=True,
-        group="dihedral", root_bound=lambda n: n,
-        grading_order=lambda n: 2 * n, r_strand=Label.RED,
+        _CHECKER, (Label.RED, Label.BLUE), shaded=True, r_strand=Label.RED,
         boxes={_U: _checker_box, _US: _flip(_checker_box),
                _V: _checker_box, _VS: _flip(_checker_box)},
         click={_U: (_VS, 1), _VS: (_U, 0), _US: (_V, 0), _V: (_US, 1)}),
     Family.COLOR_AODD: FamilySpec(
-        "finite", _CHECKER, (Label.RED, Label.BLUE),
-        group="dihedral", root_bound=lambda n: n,
-        grading_order=lambda n: 2 * n, r_strand=Label.BLUE,
+        _CHECKER, (Label.RED, Label.BLUE), r_strand=Label.BLUE,
         boxes={_V: _checker_box, _VS: _flip(_checker_box)},
         click={_V: (_VS, 1), _VS: (_V, 0)}),
     Family.ARROW_AODD: FamilySpec(
-        "finite", _ARROW, (Label.UP, Label.DOWN), oriented=True,
-        group="cyclic", root_bound=lambda n: 2 * n,
-        grading_order=lambda n: 2 * n,
+        _ARROW, (Label.UP, Label.DOWN),
         boxes={_U: _arrow_box(0), _US: _flip(_arrow_box(0))},
         click={_U: (_U, 1), _US: (_US, 1)}),
     Family.ARROW_AEVEN: FamilySpec(
-        "finite", _ARROW, (Label.UP, Label.DOWN), oriented=True,
-        group="cyclic", root_bound=lambda n: 2 * n + 1,
-        grading_order=lambda n: 2 * n + 1,
+        _ARROW, (Label.UP, Label.DOWN),
         boxes={_U: _arrow_box(1), _US: _flip(_arrow_box(1))},
         click={_U: (_U, 1), _US: (_US, 1)}),
     Family.SHADED_AINF: FamilySpec(
-        "infinite", _CHECKER, (Label.RED, Label.BLUE), shaded=True,
-        group="dihedral", r_strand=Label.RED),
-    Family.ARROW_AINF: FamilySpec(
-        "infinite", _ARROW, (Label.UP, Label.DOWN), oriented=True,
-        group="cyclic"),
+        _CHECKER, (Label.RED, Label.BLUE), shaded=True, r_strand=Label.RED),
+    Family.ARROW_AINF: FamilySpec(_ARROW, (Label.UP, Label.DOWN)),
     Family.COLOR_AINF: FamilySpec(
-        "infinite", _CHECKER, (Label.RED, Label.BLUE),
-        group="dihedral", r_strand=Label.BLUE),
+        _CHECKER, (Label.RED, Label.BLUE), r_strand=Label.BLUE),
     Family.VEC_CYCLIC: FamilySpec(
-        "source", (Label.DOT,), (Label.DOT, Label.DOT),
-        root_bound=lambda m: m, conjugate_image=True,
+        (Label.DOT,), (Label.DOT, Label.DOT), conjugate_image=True,
         boxes={BoxKind.SCRIPT_U: _top(Label.DOT),
                BoxKind.SCRIPT_USTAR: _flip(_top(Label.DOT))}),
     Family.SU2_REP: FamilySpec(
-        "source", (Label.PLUS, Label.MINUS, Label.PLAIN),
-        (Label.PLUS, Label.MINUS), oriented=True, root_bound=lambda m: m,
+        (Label.PLUS, Label.MINUS, Label.PLAIN), (Label.PLUS, Label.MINUS),
         boxes={BoxKind.NCAP_PLUS: _flip(_top(Label.PLUS)),
                BoxKind.NCAP_MINUS: _flip(_top(Label.MINUS)),
                BoxKind.NCUP_PLUS: _top(Label.PLUS),
@@ -277,10 +269,23 @@ class Theory:
         return legs[(leg - rot) % len(legs)]
 
     def root_bound(self) -> int:
-        """The group order the root must divide (n, 2n, 2n+1, or m)."""
-        if self.spec.root_bound is None:
+        """N = n, 2n, 2n+1 or m: a full turn of the first box kind is the
+        identity, so root**N = 1 with N its click exponent sum, or its leg
+        count when boxes do not click.  Also the labeling group's rotation
+        order."""
+        spec = self.spec
+        if not spec.kinds:
             raise ValueError(f"{self.family.value} has no root bound")
-        return self.spec.root_bound(self.n)
+        kind = spec.kinds[0]
+        bot, top = spec.boxes[kind](self.n)
+        legs = len(bot) + len(top)
+        if not spec.click:
+            return legs
+        total = 0
+        for _ in range(legs):
+            kind, exp = spec.click[kind]
+            total += exp
+        return total
 
     @property
     def m(self) -> int:
@@ -310,29 +315,21 @@ class Theory:
         return self.spec.category != "source"
 
     # -- the van-Kampen labeling group and the grading ------------------
-    def group_order(self) -> int:
-        """The rotation order of the labeling group (D_n's n, or the
-        order of the cyclic group)."""
-        if self.spec.group is None or self.n is None:
-            raise ValueError(
-                f"{self.family.value} has no finite labeling group")
-        return self.root_bound()
-
     def labeling_group(self) -> tuple[bool, int]:
         """(dihedral?, rotation order; 0 means the infinite group) of the
         region-labeling group."""
         if self.spec.group is None:
             raise ValueError(
                 f"{self.family.value} has no strand-group region labeling")
-        order = self.group_order() if self.n is not None else 0
+        order = self.root_bound() if self.n is not None else 0
         return self.spec.group == "dihedral", order
 
     def grading(self) -> tuple[bool, int]:
-        """(grades by parity pairs, order of the simple-class group; 0
-        means the infinite cyclic group)."""
+        """(grades by parity pairs, order of the simple-class group: the
+        generator's leg count; 0 means the infinite cyclic group)."""
         if self.spec.group is None:
             raise ValueError(f"{self.family.value} has no strand grading")
-        order = self.spec.grading_order(self.n) if self.n is not None else 0
+        order = leg_count(self, self.spec.kinds[0]) if self.n else 0
         return self.spec.group == "dihedral", order
 
     # -- serialization ---------------------------------------------------
@@ -362,7 +359,7 @@ def rooted_theories(max_n: int) -> list[Theory]:
     return [Theory.with_root(fam, n, k)
             for n in range(1, max_n + 1)
             for fam, spec in SPECS.items() if spec.category == "finite"
-            for k in range(spec.root_bound(n))]
+            for k in range(Theory(fam, n).root_bound())]
 
 
 def alphabet(theory: Theory) -> frozenset[Label]:

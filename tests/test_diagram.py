@@ -469,6 +469,17 @@ def test_serialization_round_trip():
         assert again == m
 
 
+def test_coefficients_of_the_root_field_round_trip():
+    # Q(zeta_d) lies in Q(zeta_N) exactly when d divides lcm(2, N): -1 in
+    # a box-free theory (N = 1), zeta6 = -zeta3**2 when N = 3
+    for m in (Morphism.identity(AINF, [Label.UP]).scale(root_power(2, 1)),
+              Morphism.generator(AE1, BoxKind.U).scale(root_power(6, 1))):
+        assert Morphism.parse(m.serialize()) == m
+    outside = Morphism.generator(SH2, BoxKind.U).scale(root_power(3, 1))
+    with pytest.raises(ValueError, match="does not divide"):
+        outside.serialize()
+
+
 def test_clicked_generators_validate():
     # an oriented strand whose source changes row takes the object there
     from affa.theory import leg_count

@@ -97,6 +97,17 @@ def test_invariant_box_pair_is_one():
         assert invariant(_closed_pair(th, kind)) == Cyclo.one()
 
 
+def test_invariant_does_not_validate_made_diagrams(monkeypatch):
+    u = Morphism.generator(AR2, BoxKind.U)
+    m = u.adjoint().compose(u.click(1)).trace_close()
+    calls = []
+    validate = Diagram.validate
+    monkeypatch.setattr(Diagram, "validate",
+                        lambda d: calls.append(d) or validate(d))
+    invariant(m)
+    assert calls == []
+
+
 def test_invariant_of_loops_and_empty():
     empty = Morphism.from_diagram(
         Diagram.make(SH2, [], [], [], []), Cyclo.from_fraction(5))

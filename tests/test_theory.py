@@ -1,12 +1,15 @@
 import pickle
+from dataclasses import fields
 
 import pytest
 
 from affa.cyclotomic import Cyclo
+from affa.diagram import Morphism
 from affa.theory import (
     SPECS,
     BoxKind,
     Family,
+    FamilySpec,
     Label,
     Theory,
     alphabet,
@@ -168,6 +171,71 @@ def test_family_spec_is_consistent(family):
         if th.spec.click:
             assert sorted(orbits, key=lambda k: k.value) == \
                 sorted(box_kinds(th), key=lambda k: k.value)
+
+
+# Per family: the root bound and the grading order at size n (None where
+# the family has none), and (category, oriented, group) as each family
+# stated them before they were read off the presentation.
+REFERENCE = {
+    Family.SHADED_AODD: (lambda n: n, lambda n: 2 * n,
+                         ("finite", False, "dihedral")),
+    Family.COLOR_AODD: (lambda n: n, lambda n: 2 * n,
+                        ("finite", False, "dihedral")),
+    Family.ARROW_AODD: (lambda n: 2 * n, lambda n: 2 * n,
+                        ("finite", True, "cyclic")),
+    Family.ARROW_AEVEN: (lambda n: 2 * n + 1, lambda n: 2 * n + 1,
+                         ("finite", True, "cyclic")),
+    Family.SHADED_AINF: (None, None, ("infinite", False, "dihedral")),
+    Family.ARROW_AINF: (None, None, ("infinite", True, "cyclic")),
+    Family.COLOR_AINF: (None, None, ("infinite", False, "dihedral")),
+    Family.VEC_CYCLIC: (lambda m: m, None, ("source", False, None)),
+    Family.SU2_REP: (lambda m: m, None, ("source", True, None)),
+}
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_derived_orders_and_groups_match_the_reference(family):
+    assert [f.name for f in fields(FamilySpec) if f.init] == [
+        "alphabet", "plain", "shaded", "r_strand", "conjugate_image",
+        "boxes", "click"]
+    bound, grading, facts = REFERENCE[family]
+    spec = SPECS[family]
+    assert (spec.category, spec.oriented, spec.group) == facts
+    if spec.category == "infinite":
+        th = Theory(family)
+        with pytest.raises(ValueError):
+            th.root_bound()
+        assert th.grading()[1] == th.labeling_group()[1] == 0
+        return
+    for n in range(1, 13):
+        th = Theory(family, n)
+        assert th.root_bound() == bound(n)
+        if grading is None:
+            with pytest.raises(ValueError):
+                th.grading()
+        else:
+            assert th.grading()[1] == grading(n)
+            assert th.labeling_group()[1] == bound(n)
+
+
+def test_root_orders_are_the_divisors_of_the_full_turn_sum():
+    # one full turn of a generator is the identity diagram, so the click
+    # exponents over it give root**N = 1, and exactly those roots are legal
+    for fam, spec in SPECS.items():
+        if spec.category != "finite":
+            continue
+        for n in range(1, 5):
+            bound = Theory(fam, n).root_bound()
+            for d in range(1, 2 * bound + 1):
+                if bound % d:
+                    with pytest.raises(ValueError):
+                        Theory(fam, n, d, 1 % d)
+                else:
+                    Theory(fam, n, d, 1 % d)
+    for th in rooted_theories(3):
+        for kind in box_kinds(th):
+            g = Morphism.generator(th, kind)
+            assert g.click(leg_count(th, kind)).terms == g.terms, (th, kind)
 
 
 def test_box_kind_lists():
