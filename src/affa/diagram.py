@@ -19,8 +19,10 @@ Endpoints are tuples:
 Orientation is carried by labels: Up/Plus flow upward through the
 boundary, Down/Minus downward.  A strand's `dir` is +1 when the flow
 runs from endpoint `a` to endpoint `b`, -1 the other way, 0 when the
-label is unoriented.  The serialized label of an oriented strand is the
-object presented at its source endpoint.
+label is unoriented.  The label of an oriented strand is the object
+presented at its source endpoint.  `Diagram.make` alone names it, so the
+operations hand it only endpoints and flows; `Diagram.validate` checks
+the label of a diagram read from JSON, which is never repaired.
 
 Compose and trace closure are one operation, a splice (`_splice`): the
 boundary points to be joined are paired, and the strands through each
@@ -207,27 +209,22 @@ def _object_at(theory: Theory, boxes: Sequence[tuple[BoxKind, int]],
 
 
 def leg_to_boundary(theory: Theory, leg: tuple[Label, int],
-                    side: str) -> tuple[Label, Label, int]:
+                    side: str) -> tuple[Label, int]:
     """A strand from a box leg with leg-table entry `leg` straight to a
     boundary point on `side`: (the letter the point must carry, the
-    strand's label, its direction from the leg to the point)."""
+    strand's direction from the leg to the point)."""
     lab, flow = leg
-    if not flow:
-        return lab, lab, 0
-    letter = boundary_object(theory, side, -flow)
-    return letter, (lab if flow == SRC else letter), flow
+    return (boundary_object(theory, side, -flow) if flow else lab), flow
 
 
 def boundary_arc(side: str, word: Sequence[Label], i: int,
                  j: int) -> Strand | None:
     """The arc joining points i and j of a `side` boundary word, or None
-    unless their letters are dual; an oriented arc carries the object at
-    the point it flows out of."""
+    unless their letters are dual."""
     if word[i] != dual_label(word[j]):
         return None
-    flow = boundary_flow(word[i], side)
-    return Strand(bnd(side, i), bnd(side, j),
-                  word[i] if flow == SRC else word[j], flow)
+    return Strand(bnd(side, i), bnd(side, j), word[i],
+                  boundary_flow(word[i], side))
 
 
 def walk_faces(n_faces: int, crossings: Iterable[tuple[int, int, object]],
@@ -315,10 +312,11 @@ class Diagram:
              boxes: Sequence[tuple[BoxKind, int]],
              strands: Iterable[Strand]) -> "Diagram":
         """Canonical constructor: normalizes box rotations mod leg count,
-        numbers the boxes by `_canonical_box_order`, and numbers and names
-        the free loops.  Every strand between anchor slots is a loop,
-        whatever anchor ids it carries; a loop flowing from slot 1 to slot
-        0 takes its dual label.  Loops are set aside before the boxes are
+        names each oriented strand by the object at its source, numbers
+        the boxes by `_canonical_box_order`, and numbers and names the
+        free loops.  Every strand between anchor slots is a loop, whatever
+        anchor ids it carries; a loop flowing from slot 1 to slot 0 takes
+        its dual label.  Loops are set aside before the boxes are
         numbered, so recolouring one cannot move a box; `_with_loops`
         puts them back.  The input must use each boundary point and box
         leg exactly once, as `validate` checks: `from_json` validates a
@@ -329,8 +327,13 @@ class Diagram:
             if s.a[0] == "anchor" and s.b[0] == "anchor":
                 loops.append((dual_label(s.label), +1) if s.dir == -1
                              else (s.label, s.dir))
-            else:
-                out.append(s)
+                continue
+            if s.dir:
+                obj = _object_at(theory, boxes, s.a if s.dir == +1 else s.b,
+                                 SRC)
+                if obj is not None and obj is not s.label:
+                    s = Strand(s.a, s.b, obj, s.dir)
+            out.append(s)
         order = _canonical_box_order(theory, bottom, top, boxes, out)
         if order != list(range(len(boxes))):
             old_to_new = {old: new for new, old in enumerate(order)}
@@ -597,10 +600,10 @@ class Morphism:
         strands = []
         for c in range(k):
             side, i = ("bottom", c) if c < p else ("top", k - 1 - c)
-            letter, lab, flow = leg_to_boundary(
-                theory, theory.leg(kind, rot, c), side)
+            letter, flow = leg_to_boundary(theory, theory.leg(kind, rot, c),
+                                           side)
             letters.append(letter)
-            strands.append(Strand(boxleg(0, c), bnd(side, i), lab, flow))
+            strands.append(Strand(boxleg(0, c), bnd(side, i), letter, flow))
         d = Diagram.make(theory, letters[:p], letters[p:][::-1],
                          [(kind, rot)], strands)
         return Morphism.from_diagram(d)
@@ -698,10 +701,11 @@ class Morphism:
                          for d, c in self.terms.items()))
 
     def click(self, steps: int) -> "Morphism":
-        newb, newt, _ = _click_boundary(self.bottom, self.top, steps)
-        return Morphism(self.theory, newb, newt,
-                        ((_click_diagram(d, steps), c)
-                         for d, c in self.terms.items()))
+        newb, newt, moves = _click_boundary(self.bottom, self.top, steps)
+        return Morphism(self.theory, newb, newt, ((Diagram.make(
+            self.theory, newb, newt, d.boxes,
+            [Strand(moves.get(s.a, s.a), moves.get(s.b, s.b), s.label, s.dir)
+             for s in d.strands]), c) for d, c in self.terms.items()))
 
     def trace_close(self, side: str = "right") -> "Morphism":
         if self.bottom != self.top:
@@ -832,11 +836,12 @@ def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
     boundary; the other endpoints keep their names.  A walk between two
     kept endpoints becomes one strand, a closed walk a loop strand on
     anchor 0, which `Diagram.make` numbers and names; free loops already
-    in `strands` pass through whatever their anchor ids.  A closed walk
-    starts at its loop's lowest pair and is recorded by its flow there:
-    dir +1 when it flows as the theory's `up` colour would, else -1.
-    None (the zero term) on a label or flow disagreement along a walk or
-    a checkerboard clash in the result."""
+    in `strands` pass through whatever their anchor ids.  A walk's strand
+    carries its flow and, when unoriented, its colour; `make` names an
+    oriented one.  A closed walk starts at its loop's lowest pair and is
+    recorded by its flow there: dir +1 when it flows as the theory's `up`
+    colour would, else -1.  None (the zero term) on a label or flow
+    disagreement along a walk or a checkerboard clash in the result."""
     link: dict[Endpoint, Endpoint] = {}
     for x, y in pairs:
         link[x], link[y] = y, x
@@ -880,12 +885,7 @@ def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
         if got is None:
             return None
         end, label, flow = got
-        if flow:
-            src = e if flow == SRC else end
-            out.append(Strand(e, end, _object_at(theory, boxes, src, SRC),
-                              flow))
-        else:
-            out.append(Strand(e, end, label or Label.PLAIN, 0))
+        out.append(Strand(e, end, label or Label.PLAIN, flow))
     up = plain_expansion(theory)[0]
     for x, _ in pairs:
         if id(at[x]) in done:
@@ -926,10 +926,6 @@ def _trace_diagram(d: Diagram) -> Diagram | None:
 
 def _adjoint_diagram(d: Diagram) -> Diagram:
     th = d.theory
-    new_boxes = []
-    for kind, rot in d.boxes:
-        k = leg_count(th, kind)
-        new_boxes.append((kind_adjoint(kind), (k - rot) % k))
 
     def remap(e: Endpoint) -> Endpoint:
         if e[0] == "bnd":
@@ -939,19 +935,13 @@ def _adjoint_diagram(d: Diagram) -> Diagram:
             return boxleg(e[1], leg_count(th, kind) - 1 - e[2])
         return e
 
-    out = []
-    for s in d.strands:
-        na, nb = remap(s.a), remap(s.b)
-        if s.dir == 0 or s.a[0] == "anchor":
-            out.append(Strand(na, nb, s.label, s.dir))
-            continue
-        # Flipping vertically and reversing arrows makes each endpoint swap
-        # its flow role: the new source is the image of the old sink.
-        old_snk = s.a if s.flow_at(s.a) == SNK else s.b
-        new_src = remap(old_snk)
-        obj = _object_at(th, new_boxes, new_src, SRC)
-        out.append(Strand(na, nb, obj, +1 if new_src == na else -1))
-    return Diagram.make(th, d.top, d.bottom, new_boxes, out)
+    # Flipping vertically and reversing arrows swaps each endpoint's flow
+    # role, so every strand but a loop reverses.
+    strands = [Strand(remap(s.a), remap(s.b), s.label,
+                      s.dir if s.a[0] == "anchor" else -s.dir)
+               for s in d.strands]
+    return Diagram.make(th, d.top, d.bottom,
+                        [(kind_adjoint(k), -r) for k, r in d.boxes], strands)
 
 
 def _click_boundary(bottom: Sequence[Label], top: Sequence[Label],
@@ -985,19 +975,6 @@ def _click_boundary(bottom: Sequence[Label], top: Sequence[Label],
         else:
             newt[dst[2]] = lab
     return tuple(newb), tuple(newt), moves
-
-
-def _click_diagram(d: Diagram, steps: int) -> Diagram:
-    newb, newt, moves = _click_boundary(d.bottom, d.top, steps)
-    strands = []
-    for s in d.strands:
-        a, b, lab = moves.get(s.a, s.a), moves.get(s.b, s.b), s.label
-        if s.dir and a[0] != "anchor":
-            # an oriented strand carries the object at its source, which
-            # changes when the source moves to the other row
-            lab = _object_at(d.theory, d.boxes, a if s.dir == +1 else b, SRC)
-        strands.append(Strand(a, b, lab, s.dir))
-    return Diagram.make(d.theory, newb, newt, d.boxes, strands)
 
 
 def _expand_plain_loops(d: Diagram,

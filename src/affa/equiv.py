@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from affa.cyclotomic import Cyclo, root_power
 from affa.diagram import Diagram, Morphism, Strand
 from affa.theory import (
-    SRC,
     BoxKind,
     Family,
     Label,
@@ -129,11 +128,11 @@ def _image_diagram(d: Diagram, tgt: Theory) -> Diagram:
         boxes.append((_KIND_MAP[kind], rot))
 
     def image_end(e):
-        """The object an image endpoint presents and its flow role."""
+        """The flow role an image endpoint requires."""
         if e[0] == "box":
-            return tgt.leg(*boxes[e[1]], e[2])
+            return tgt.leg(*boxes[e[1]], e[2])[1]
         lab = _LABEL_MAP[(d.bottom if e[1] == "bottom" else d.top)[e[2]]]
-        return lab, boundary_flow(lab, e[1])
+        return boundary_flow(lab, e[1])
 
     strands = []
     for s in d.strands:
@@ -146,11 +145,10 @@ def _image_diagram(d: Diagram, tgt: Theory) -> Diagram:
             continue
         # every strand acquires the orientation its image endpoints force:
         # bending the lower legs of the image box reverses their flow
-        (la, ra), (lb, rb) = image_end(s.a), image_end(s.b)
-        if not ra or ra != -rb:
+        ra = image_end(s.a)
+        if not ra or ra != -image_end(s.b):
             raise ValueError("diagram is not in the functor image")
-        # the strand carries whatever object its source end presents
-        strands.append(Strand(s.a, s.b, la if ra == SRC else lb, ra))
+        strands.append(Strand(s.a, s.b, lab, ra))
     out = Diagram.make(tgt, [_LABEL_MAP[l] for l in d.bottom],
                        [_LABEL_MAP[l] for l in d.top],
                        boxes, strands)

@@ -243,7 +243,8 @@ def trace_of_word(w: Word) -> Cyclo:
 def _fit_box(th: Theory, orbit, letters, first_parity: int):
     """One concrete (kind, rot, legs, ends) attaching a box of the given
     click orbit to slots carrying the letters, or None; `ends` holds the
-    (label, direction) of the strand from each leg to its slot.
+    (letter, direction) of the strand from each leg to its slot, the
+    letter serving as its label (`Diagram.make` names an oriented one).
 
     Slot t takes leg (shift - t) % k: the slots run left to right, so
     the legs meeting them run clockwise around the box.  A fit is the
@@ -271,7 +272,7 @@ def _fit_box(th: Theory, orbit, letters, first_parity: int):
                 ends = [leg_to_boundary(th, th.leg(kind, rot, leg), "top")
                         for leg in legs]
                 if all(e[0] == w for e, w in zip(ends, letters)):
-                    return kind, rot, legs, tuple(e[1:] for e in ends)
+                    return kind, rot, legs, tuple(ends)
     return None
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Callable, Mapping
 
@@ -273,19 +273,7 @@ class Theory:
         identity, so root**N = 1 with N its click exponent sum, or its leg
         count when boxes do not click.  Also the labeling group's rotation
         order."""
-        spec = self.spec
-        if not spec.kinds:
-            raise ValueError(f"{self.family.value} has no root bound")
-        kind = spec.kinds[0]
-        bot, top = spec.boxes[kind](self.n)
-        legs = len(bot) + len(top)
-        if not spec.click:
-            return legs
-        total = 0
-        for _ in range(legs):
-            kind, exp = spec.click[kind]
-            total += exp
-        return total
+        return _root_bound(self.family, self.n)
 
     @property
     def m(self) -> int:
@@ -352,6 +340,24 @@ class Theory:
                       None if n is None else wire.integer(n, "theory n"),
                       wire.integer(root.get("order", 1), "root order"),
                       wire.integer(root.get("exp", 0), "root exp"))
+
+
+@lru_cache(maxsize=1024)
+def _root_bound(family: Family, n: int) -> int:
+    """`Theory.root_bound`, read off the click table once per (family, n)."""
+    spec = SPECS[family]
+    if not spec.kinds:
+        raise ValueError(f"{family.value} has no root bound")
+    kind = spec.kinds[0]
+    bot, top = spec.boxes[kind](n)
+    legs = len(bot) + len(top)
+    if not spec.click:
+        return legs
+    total = 0
+    for _ in range(legs):
+        kind, exp = spec.click[kind]
+        total += exp
+    return total
 
 
 def rooted_theories(max_n: int) -> list[Theory]:

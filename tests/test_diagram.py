@@ -26,6 +26,7 @@ from affa.theory import (
     Label,
     Theory,
     box_kinds,
+    dual_label,
     rooted_theories,
 )
 
@@ -132,6 +133,29 @@ def test_flow_mismatch_is_rejected():
     s = Strand(bnd("bottom", 0), bnd("top", 0), Label.UP, -1)
     d = Diagram.make(AR2, [Label.UP], [Label.UP], [], [s])
     assert any("flow" in e for e in d.validate())
+
+
+def test_make_names_oriented_strands_and_from_json_refuses_them():
+    # an oriented strand is named by the object at its source: make
+    # renames a mislabeled one, while a JSON term as written is refused
+    cases = 0
+    for th in rooted_theories(2):
+        if not th.is_oriented():
+            continue
+        for kind in box_kinds(th):
+            d = the_diagram(
+                Morphism.generator(th, kind, 1).click(1).adjoint())
+            wrong = [Strand(s.a, s.b, dual_label(s.label), s.dir)
+                     if s.dir and s.a[0] != "anchor" else s
+                     for s in d.strands]
+            assert wrong != list(d.strands)
+            assert Diagram.make(th, d.bottom, d.top, d.boxes, wrong) == d
+            term = Diagram(th, d.bottom, d.top, d.boxes, d.n_anchors,
+                           tuple(wrong)).to_json()
+            with pytest.raises(ValueError, match="source object"):
+                Diagram.from_json(term)
+            cases += 1
+    assert cases == 28
 
 
 def test_compose_identity_unit():

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -161,3 +162,54 @@ def test_source_theory_validation():
         source_theory("nope", 2)
     th = source_theory("vec", 4, 2)  # reduced: a square root of unity
     assert (th.root_order, th.root_exp) == (2, 1)
+
+
+def _source_layer(th, rng, word):
+    """A random tensor product of source generators at rotation 0 and
+    identities whose bottom is `word`: a box with no bottom legs may go in
+    before any letter, and one with no top legs takes the next letters
+    when they fit its bottom."""
+    gens = [Morphism.generator(th, kind) for kind in th.spec.kinds]
+    pieces, i = [], 0
+    while True:
+        if rng.random() < 0.3:
+            pieces.append(rng.choice([g for g in gens if not g.bottom]))
+        if i == len(word):
+            break
+        caps = [g for g in gens
+                if g.bottom and g.bottom == tuple(word[i:i + len(g.bottom)])]
+        if caps and rng.random() < 0.5:
+            pieces.append(rng.choice(caps))
+            i += len(pieces[-1].bottom)
+        else:
+            pieces.append(Morphism.identity(th, word[i:i + 1]))
+            i += 1
+    out = Morphism.identity(th, [])
+    for p in pieces:
+        out = out.tensor(p)
+    return out
+
+
+@pytest.mark.parametrize("which", ["vec", "rep"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_image_commutes_with_compose_tensor_and_adjoint(which, m):
+    # term for term, not only after evaluation: to_image relabels each
+    # strand, so the image of a product is the product of the images
+    th = source_theory(which, m, 1)
+    rng = random.Random(m)
+    boxes = 0
+    for _ in range(12):
+        f = _source_layer(th, rng, ())
+        while not f.top:
+            f = _source_layer(th, rng, ())
+        f = _source_layer(th, rng, f.top).compose(f)
+        g = _source_layer(th, rng, f.top)
+        h = _source_layer(th, rng, ())
+        gf = g.compose(f)
+        assert to_image(gf) == to_image(g).compose(to_image(f))
+        assert to_image(gf.tensor(h)) == to_image(gf).tensor(to_image(h))
+        assert to_image(gf.adjoint()) == to_image(gf).adjoint()
+        assert to_image(f.adjoint().compose(f)) == \
+            to_image(f).adjoint().compose(to_image(f))
+        boxes += sum(len(d.boxes) for d in gf.terms)
+    assert boxes >= 24

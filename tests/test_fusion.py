@@ -291,7 +291,7 @@ def test_shading_parity_rule_matches_face_parities():
                                             "top") for leg in legs]
                     strands = [Strand(boxleg(0, leg), bnd("top", t),
                                       lab, dir)
-                               for t, (leg, (_, lab, dir))
+                               for t, (leg, (lab, dir))
                                in enumerate(zip(legs, ends))]
                     d = Diagram.make(th, [], [e[0] for e in ends],
                                      [(kind, rot)], strands)
