@@ -20,15 +20,17 @@ Orientation is carried by labels: Up/Plus flow upward through the
 boundary, Down/Minus downward.  A strand's `dir` is +1 when the flow
 runs from endpoint `a` to endpoint `b`, -1 the other way, 0 when the
 label is unoriented.  The label of an oriented strand is the object
-presented at its source endpoint.  `Diagram.make` alone names it, so the
-operations hand it only endpoints and flows; `Diagram.validate` checks
-the label of a diagram read from JSON, which is never repaired.
+presented at its source endpoint.  `Diagram.make` alone orders each
+strand's endpoints (a swap negates `dir`) and names it, so operations
+hand it only endpoints and flows; `Diagram.validate` reads a diagram
+from JSON as written, and it is never repaired.
 
-Compose and trace closure are one operation, a splice (`_splice`): the
-boundary points to be joined are paired, and the strands through each
-pair become one.  Composing a after b moves b's top points past a's top
-and a's bottom points past b's bottom, then pairs b's top point i with
-a's bottom point i; trace closure pairs bottom point i with top point i.
+Tensor, compose and trace closure are one operation, a splice: the
+boundary points to be joined are paired, the strands through each pair
+become one, and `_splice` ends in the shading check.  Tensor pairs none.
+Composing a after b moves b's top points past a's top and a's bottom
+points past b's bottom, then pairs b's top point i with a's bottom point
+i; trace closure pairs bottom point i with top point i.
 A walk between two kept endpoints becomes one strand; a closed walk
 becomes a free loop.  Only `Diagram.make` numbers and names free loops:
 the operations hand it loop strands on any anchor, and it puts each
@@ -96,20 +98,11 @@ def _ep_key(e: Endpoint):
     return (1 if e[0] == "box" else 2, e[1], e[2])
 
 
-@dataclass(frozen=True)
-class Strand:
+class Strand(NamedTuple):
     a: Endpoint
     b: Endpoint
     label: Label
     dir: int = 0  # +1: flow a->b, -1: flow b->a, 0: unoriented
-
-    def __post_init__(self):
-        if _ep_key(self.a) > _ep_key(self.b):
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-            if self.dir:
-                object.__setattr__(self, "dir", -self.dir)
 
     def other(self, e: Endpoint) -> Endpoint:
         return self.b if e == self.a else self.a
@@ -121,6 +114,12 @@ class Strand:
         if e == self.a:
             return SRC if self.dir == +1 else SNK
         return SNK if self.dir == +1 else SRC
+
+
+def _ordered(s: Strand) -> Strand:
+    """s with its endpoints in `_ep_key` order; swapping them negates dir."""
+    return (s if _ep_key(s.a) <= _ep_key(s.b)
+            else Strand(s.b, s.a, s.label, -s.dir))
 
 
 def _canonical_box_order(theory: Theory, bottom: Sequence[Label],
@@ -312,6 +311,7 @@ class Diagram:
              boxes: Sequence[tuple[BoxKind, int]],
              strands: Iterable[Strand]) -> "Diagram":
         """Canonical constructor: normalizes box rotations mod leg count,
+        orders each strand's endpoints (again once boxes are renumbered),
         names each oriented strand by the object at its source, numbers
         the boxes by `_canonical_box_order`, and numbers and names the
         free loops.  Every strand between anchor slots is a loop, whatever
@@ -323,7 +323,7 @@ class Diagram:
         diagram before it is made, and the operations keep this."""
         boxes = tuple((k, r % leg_count(theory, k)) for k, r in boxes)
         out, loops = [], []
-        for s in strands:
+        for s in map(_ordered, strands):
             if s.a[0] == "anchor" and s.b[0] == "anchor":
                 loops.append((dual_label(s.label), +1) if s.dir == -1
                              else (s.label, s.dir))
@@ -338,10 +338,10 @@ class Diagram:
         if order != list(range(len(boxes))):
             old_to_new = {old: new for new, old in enumerate(order)}
             boxes = tuple(boxes[old] for old in order)
-            out = [Strand(
+            out = [_ordered(Strand(
                 boxleg(old_to_new[s.a[1]], s.a[2]) if s.a[0] == "box" else s.a,
                 boxleg(old_to_new[s.b[1]], s.b[2]) if s.b[0] == "box" else s.b,
-                s.label, s.dir) for s in out]
+                s.label, s.dir)) for s in out]
         return _with_loops(theory, bottom, top, boxes, out, loops)
 
     # -- rotation system ------------------------------------------------
@@ -377,13 +377,13 @@ class Diagram:
     def validate(self) -> list[str]:
         """The ways the diagram breaks its theory, in order, or []: a
         label outside the alphabet, an illegal box kind or rotation, an
-        endpoint used twice, a strand at an anchor that is not a loop from
-        side 0 to side 1 of that anchor, endpoints other than the boundary
-        points, box legs and anchors 0..n_anchors-1, a strand label or
-        flow its endpoints refuse, an Euler count V - E + F other than 2C
-        over its C components (one of them is not planar), and in shaded
-        theories boxes no checkerboard shading fits.  It reads the diagram
-        as written, before `make` numbers it, through its FaceTable."""
+        endpoint used twice, a strand at an anchor that is not a loop
+        between the two sides of that anchor, endpoints other than the
+        boundary points, box legs and anchors 0..n_anchors-1, a strand
+        label or flow its endpoints refuse, an Euler count V - E + F other
+        than 2C over its C components (one of them is not planar), and in
+        shaded theories boxes no checkerboard shading fits.  It reads the
+        diagram as written, before `make` numbers it, via its FaceTable."""
         errors: list[str] = []
         th = self.theory
         alpha = alphabet(th)
@@ -403,9 +403,9 @@ class Diagram:
         for s in self.strands:
             e = s.a if s.a[0] == "anchor" else s.b
             if e[0] == "anchor" and \
-                    (s.a, s.b) != (anchor(e[1], 0), anchor(e[1], 1)):
+                    {s.a, s.b} != {anchor(e[1], 0), anchor(e[1], 1)}:
                 errors.append(f"anchor {e[1]} side {e[2]} is not on a loop "
-                              f"from side 0 to side 1 of anchor {e[1]}")
+                              f"between sides 0 and 1 of anchor {e[1]}")
         if table.index is None:
             ends, used = set(chain(*table.rotations)), table.strand_at.keys()
             if missing := sorted(ends - used, key=_ep_key):
@@ -679,9 +679,9 @@ class Morphism:
             raise ValueError("theory mismatch in tensor")
         return Morphism(self.theory, self.bottom + other.bottom,
                         self.top + other.top,
-                        ((_tensor_diagrams(da, db), ca * cb)
-                         for da, ca in self.terms.items()
-                         for db, cb in other.terms.items()))
+                        ((d, ca * cb) for da, ca in self.terms.items()
+                         for db, cb in other.terms.items()
+                         if (d := _tensor_diagrams(da, db)) is not None))
 
     def compose(self, other: "Morphism") -> "Morphism":
         """self after other: glue other's top to self's bottom."""
@@ -821,27 +821,27 @@ def _offset_strand(s: Strand, dbox: int, dbot: int, dtop: int) -> Strand:
                   _offset_endpoint(s.b, dbox, dbot, dtop), s.label, s.dir)
 
 
-def _tensor_diagrams(a: Diagram, b: Diagram) -> Diagram:
+def _tensor_diagrams(a: Diagram, b: Diagram) -> Diagram | None:
     strands = list(a.strands)
     strands += [_offset_strand(s, len(a.boxes), len(a.bottom), len(a.top))
                 for s in b.strands]
-    return Diagram.make(a.theory, a.bottom + b.bottom, a.top + b.top,
-                        a.boxes + b.boxes, strands)
+    return _splice(a.theory, a.bottom + b.bottom, a.top + b.top,
+                   a.boxes + b.boxes, strands, [])
 
 
 def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
             boxes: Sequence[tuple[BoxKind, int]], strands: Sequence[Strand],
             pairs: Sequence[tuple[Endpoint, Endpoint]]) -> Diagram | None:
-    """Join strands through each pair of boundary points, which leave the
-    boundary; the other endpoints keep their names.  A walk between two
-    kept endpoints becomes one strand, a closed walk a loop strand on
-    anchor 0, which `Diagram.make` numbers and names; free loops already
-    in `strands` pass through whatever their anchor ids.  A walk's strand
-    carries its flow and, when unoriented, its colour; `make` names an
-    oriented one.  A closed walk starts at its loop's lowest pair and is
-    recorded by its flow there: dir +1 when it flows as the theory's `up`
-    colour would, else -1.  None (the zero term) on a label or flow
-    disagreement along a walk or a checkerboard clash in the result."""
+    """Join strands through each pair of boundary points (none for a
+    tensor), which leave the boundary; other endpoints keep their names.
+    A walk between two kept endpoints becomes one strand, a closed walk a
+    loop strand on anchor 0, which `Diagram.make` numbers and names; free
+    loops in `strands` pass through whatever their anchor ids.  A walk's
+    strand carries its flow and, when unoriented, its colour; `make`
+    orders and names it.  A closed walk starts at its loop's lowest pair
+    and is recorded by its flow there: dir +1 when it flows as the
+    theory's `up` colour would, else -1.  None (the zero term) on a label
+    or flow disagreement along a walk or a checkerboard clash."""
     link: dict[Endpoint, Endpoint] = {}
     for x, y in pairs:
         link[x], link[y] = y, x

@@ -201,6 +201,11 @@ SPECS: dict[Family, FamilySpec] = {
 }
 
 
+# The largest size parameter n a JSON theory may carry: a box has about
+# 2n legs, so `Theory.from_json` refuses a larger n from the number alone.
+MAX_WIRE_N = 1000
+
+
 @dataclass(frozen=True)
 class Theory:
     family: Family
@@ -336,8 +341,10 @@ class Theory:
         n, root = obj.get("n"), obj.get("root", {"order": 1, "exp": 0})
         if not isinstance(root, dict):
             raise ValueError("malformed theory: root must be an object")
-        return Theory(Family(obj["family"]),
-                      None if n is None else wire.integer(n, "theory n"),
+        family = Family(obj["family"])
+        if n is not None and wire.integer(n, "theory n") > MAX_WIRE_N:
+            raise ValueError(f"theory n {n} exceeds {MAX_WIRE_N}")
+        return Theory(family, n,
                       wire.integer(root.get("order", 1), "root order"),
                       wire.integer(root.get("exp", 0), "root exp"))
 

@@ -121,6 +121,7 @@ def _strand_end(end, **fields):
     _bad_line(_strand_end("b", box=True), BOXED_LINE),
     _bad_line(_strand_end("a", k=1)),
     _bad_line(_loop_on_anchor_3),
+    _bad_line(lambda doc: doc["theory"].update(n=10**9)),
 ], ids=["bad-json", "terms-not-a-list", "coeff-order-zero",
         "theory-root-not-an-object", "anchors-a-list", "anchors-null",
         "endpoint-anchor-overflows", "coeff-overflows",
@@ -132,14 +133,18 @@ def _strand_end(end, **fields):
         "coeff-divides-by-zero", "coeffs-a-string", "bottom-an-object",
         "coeff-order-a-float", "coeff-order-a-boolean", "coeff-a-boolean",
         "box-rot-a-float", "endpoint-box-a-boolean", "endpoint-extra-key",
-        "loop-on-a-non-canonical-anchor"])
+        "loop-on-a-non-canonical-anchor", "theory-n-overflows"])
 def test_eval_batch_ordered_and_reports_errors(tmp_path, bad):
+    # every bad line is refused before it is built: a theory of size n
+    # builds a box of about 2n legs, so n = 10**9 would take gigabytes
     good = json.dumps(GOOD_LINE)
     lines = [good, bad, good]
     src = tmp_path / "batch.jsonl"
     src.write_text("\n".join(lines))
     out = tmp_path / "batch.out"
+    start = time.perf_counter()
     assert run(["eval", "--batch", str(src), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
     rows = [json.loads(ln) for ln in out.read_text().splitlines()]
     assert [r["index"] for r in rows] == [0, 1, 2]
     assert rows[0]["value"] == "2" and rows[2]["value"] == "2"

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,25 @@ def test_shading_clash_is_zero():
     assert vstar.compose(u).is_zero()
     ustar = Morphism.generator(SH1, BoxKind.USTAR)
     assert not ustar.compose(u).is_zero()
+
+
+def test_unshadable_tensor_product_is_zero():
+    # tensor is a splice with no pairs, so it ends in the same shading
+    # check as compose and trace closure: two generators side by side
+    # whose boxes no checkerboard shading fits are the zero term
+    from affa.theory import leg_count
+    products, zero = 0, Counter()
+    for th in rooted_theories(2):
+        gens = [Morphism.generator(th, kind, r) for kind in box_kinds(th)
+                for r in range(leg_count(th, kind))]
+        for a, b in itertools.product(gens, repeat=2):
+            m = a.tensor(b)
+            products += 1
+            zero[th.family, th.n] += m.is_zero()
+            assert all(d.validate() == [] for d in m.terms), (th, a, b)
+    assert products == 1616
+    assert +zero == {(Family.SHADED_AODD, 2): 256,
+                     (Family.SHADED_AODD, 1): 32}
 
 
 def test_adjoint_is_involution():
@@ -452,7 +472,8 @@ def test_make_is_invariant_under_box_renumbering():
 
             def ep(e):
                 return boxleg(perm[e[1]], e[2]) if e[0] == "box" else e
-            strands = [Strand(ep(s.a), ep(s.b), s.label, s.dir)
+            # each strand also written from its other end: make orders it
+            strands = [Strand(ep(s.b), ep(s.a), s.label, -s.dir)
                        for s in d.strands]
             moved += perm != list(range(nb))
             assert Diagram.make(d.theory, d.bottom, d.top, boxes,
@@ -488,9 +509,23 @@ def test_serialization_round_trip():
           Morphism.loop(CO2, Label.RED),
           Morphism.identity(AINF, [Label.PLAIN, Label.UP]),
           Morphism.generator(AR2, BoxKind.U).click(1)]
+    u = Morphism.generator(AR2, BoxKind.U)
+    closed = u.adjoint().compose(u).trace_close()
+    assert not closed.is_zero()
+    ms.append(closed.tensor(Morphism.loop(AR2, Label.UP))
+              .tensor(Morphism.loop(AR2, Label.DOWN)))
     for m in ms:
-        again = Morphism.parse(m.serialize())
-        assert again == m
+        data = m.serialize()
+        assert Morphism.parse(data) == m
+        # every strand written from its other end (loops from slot 1 to
+        # slot 0) is read as written and made into the same morphism
+        doc = json.loads(data)
+        for t in doc["terms"]:
+            for s in t["strands"]:
+                s["a"], s["b"], s["dir"] = s["b"], s["a"], -s["dir"]
+        swapped = Morphism.parse(json.dumps(doc))
+        assert swapped == m
+        assert swapped.serialize() == data
 
 
 def test_coefficients_of_the_root_field_round_trip():
