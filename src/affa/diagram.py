@@ -30,7 +30,10 @@ boundary points to be joined are paired, the strands through each pair
 become one, and `_splice` ends in the shading check.  Tensor pairs none.
 Composing a after b moves b's top points past a's top and a's bottom
 points past b's bottom, then pairs b's top point i with a's bottom point
-i; trace closure pairs bottom point i with top point i.
+i; trace closure pairs bottom point i with top point i.  A closed
+pairing tr(a after b) (`Morphism.trace_compose`, behind every inner
+product) joins the glue pairs and the trace pairs in one splice, so the
+open composite is never made.
 A walk between two kept endpoints becomes one strand; a closed walk
 becomes a free loop.  Only `Diagram.make` numbers and names free loops:
 the operations hand it loop strands on any anchor, and it puts each
@@ -674,26 +677,36 @@ class Morphism:
                 f"{[l.value for l in self.top]}, {len(self.terms)} terms)")
 
     # -- diagrammatic operations -------------------------------------------
-    def tensor(self, other: "Morphism") -> "Morphism":
+    def _pairwise(self, other: "Morphism", op: str, bottom: Sequence[Label],
+                  top: Sequence[Label], join) -> "Morphism":
+        """The sum over term pairs of join(self's term, other's term), a
+        diagram or None (a zero term), times both coefficients."""
         if self.theory != other.theory:
-            raise ValueError("theory mismatch in tensor")
-        return Morphism(self.theory, self.bottom + other.bottom,
-                        self.top + other.top,
+            raise ValueError(f"theory mismatch in {op}")
+        return Morphism(self.theory, bottom, top,
                         ((d, ca * cb) for da, ca in self.terms.items()
                          for db, cb in other.terms.items()
-                         if (d := _tensor_diagrams(da, db)) is not None))
+                         if (d := join(da, db)) is not None))
+
+    def tensor(self, other: "Morphism") -> "Morphism":
+        return self._pairwise(other, "tensor", self.bottom + other.bottom,
+                              self.top + other.top, _tensor_diagrams)
 
     def compose(self, other: "Morphism") -> "Morphism":
         """self after other: glue other's top to self's bottom."""
-        if self.theory != other.theory:
-            raise ValueError("theory mismatch in compose")
         if len(self.bottom) != len(other.top):
             raise ValueError("compose length mismatch")
-        return Morphism(self.theory, other.bottom, self.top,
-                        ((d, ca * cb)
-                         for da, ca in self.terms.items()
-                         for db, cb in other.terms.items()
-                         if (d := _glue(da, db)) is not None))
+        return self._pairwise(other, "compose", other.bottom, self.top, _glue)
+
+    def trace_compose(self, other: "Morphism") -> "Morphism":
+        """tr(self after other): the closed morphism that
+        `self.compose(other).trace_close()` is, built with one splice per
+        term pair, so no open composite is made."""
+        if len(self.bottom) != len(other.top):
+            raise ValueError("compose length mismatch")
+        if other.bottom != self.top:
+            raise ValueError("trace requires equal bottom and top words")
+        return self._pairwise(other, "trace_compose", (), (), _trace_glue)
 
     def adjoint(self) -> "Morphism":
         return Morphism(self.theory, self.top, self.bottom,
@@ -793,12 +806,13 @@ def _with_loops(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
                 loops: list[tuple[Label, int]]) -> Diagram:
     """The tail of `Diagram.make`: boxes and non-loop strands already
     canonical, and loops as (label, dir) with dir +1 or 0.  The loops go
-    on anchors 0..k-1 sorted by (label, dir), and all strands are
-    sorted."""
+    on anchors 0..k-1 sorted by (label, dir), and all strands are sorted
+    by their `a` ends, which are distinct (each endpoint is on one
+    strand)."""
     loops = sorted(loops, key=lambda ld: (ld[0].value, ld[1]))
     out = strands + [Strand(anchor(i, 0), anchor(i, 1), lab, dir)
                      for i, (lab, dir) in enumerate(loops)]
-    out.sort(key=lambda s: (_ep_key(s.a), _ep_key(s.b)))
+    out.sort(key=lambda s: _ep_key(s.a))
     return Diagram(theory, tuple(bottom), tuple(top), boxes, len(loops),
                    tuple(out))
 
@@ -903,25 +917,47 @@ def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
     return d if d._shading_consistent() else None
 
 
-def _glue(a: Diagram, b: Diagram) -> Diagram | None:
-    """a after b (b's top glued to a's bottom); None = zero term.  b's top
-    points move past a's top and a's bottom points past b's bottom, and
-    each moved pair is spliced."""
+def _stack(a: Diagram, b: Diagram) -> tuple[
+        list[Strand], list[tuple[Endpoint, Endpoint]]] | None:
+    """The strands of b stacked under a, and the pairs that glue b's top
+    point i to a's bottom point i; None (a zero term) when two glued
+    letters disagree.  b's top points move past a's top and a's bottom
+    points past b's bottom; b's boxes come first."""
     for lb, la in zip(b.top, a.bottom):
         if lb is not Label.PLAIN and la is not Label.PLAIN and lb != la:
             return None
     p, q = len(b.bottom), len(a.top)
     strands = [_offset_strand(s, 0, 0, q) for s in b.strands]
     strands += [_offset_strand(s, len(b.boxes), p, 0) for s in a.strands]
-    return _splice(a.theory, b.bottom, a.top, b.boxes + a.boxes, strands,
-                   [(bnd("top", q + i), bnd("bottom", p + i))
-                    for i in range(len(b.top))])
+    return strands, [(bnd("top", q + i), bnd("bottom", p + i))
+                     for i in range(len(b.top))]
+
+
+def _trace_pairs(n: int) -> list[tuple[Endpoint, Endpoint]]:
+    """The pairs of a trace closure: bottom point i with top point i."""
+    return [(bnd("bottom", i), bnd("top", i)) for i in range(n)]
+
+
+def _glue(a: Diagram, b: Diagram) -> Diagram | None:
+    """a after b (b's top glued to a's bottom); None = zero term."""
+    if (stacked := _stack(a, b)) is None:
+        return None
+    return _splice(a.theory, b.bottom, a.top, b.boxes + a.boxes, *stacked)
+
+
+def _trace_glue(a: Diagram, b: Diagram) -> Diagram | None:
+    """tr(a after b), b's bottom word being a's top: the glue pairs and
+    the trace pairs joined in one splice; None = zero term."""
+    if (stacked := _stack(a, b)) is None:
+        return None
+    strands, pairs = stacked
+    return _splice(a.theory, (), (), b.boxes + a.boxes, strands,
+                   pairs + _trace_pairs(len(b.bottom)))
 
 
 def _trace_diagram(d: Diagram) -> Diagram | None:
     return _splice(d.theory, (), (), d.boxes, d.strands,
-                   [(bnd("bottom", i), bnd("top", i))
-                    for i in range(len(d.bottom))])
+                   _trace_pairs(len(d.bottom)))
 
 
 def _adjoint_diagram(d: Diagram) -> Diagram:

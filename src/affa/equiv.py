@@ -208,10 +208,11 @@ def check_functor(which: str, m: int, zeta_exp: int = 0) -> dict:
     if not trivial:
         from affa.fusion import Word, hom_dim
         tgt = image_theory(th)
+        unit = Word(tgt, ())
     for word in _source_words(th, 2 * m):
         src_dim = _source_hom_dim(th, word)
         tgt_dim = 1 if trivial else hom_dim(
-            Word(tgt, ()), Word(tgt, tuple(_LABEL_MAP[l] for l in word)))
+            unit, Word(tgt, tuple(_LABEL_MAP[l] for l in word)))
         report["hom_dims"].append(
             {"word": [l.value for l in word], "source": src_dim,
              "target": tgt_dim, "ok": src_dim == tgt_dim})

@@ -76,10 +76,11 @@ def eval_closed(m: Morphism) -> Cyclo:
 
 
 def inner_product(f: Morphism, g: Morphism) -> Cyclo:
-    """tr(f* g) for morphisms with a common boundary."""
+    """tr(f* g) for morphisms with a common boundary, closed by
+    `Morphism.trace_compose` in one splice per term pair."""
     if (f.theory, f.bottom, f.top) != (g.theory, g.bottom, g.top):
         raise ValueError("inner product needs a common boundary")
-    return eval_closed(f.adjoint().compose(g).trace_close("right"))
+    return eval_closed(f.adjoint().trace_compose(g))
 
 
 def morphism_eq(f: Morphism, g: Morphism) -> bool:

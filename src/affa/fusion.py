@@ -405,7 +405,7 @@ def _rank_and_psd(matrix) -> tuple[int, bool]:
 def gram_matrix(w: Word, max_boxes: int) -> GramResult:
     """Gram matrix of the spanning set of Hom(1, w), its exact rank, and
     positive semidefiniteness."""
-    from affa.evaluate import inner_product
+    from affa.evaluate import eval_closed
     if Label.PLAIN in w.labels:
         raise ValueError("gram_matrix needs a concrete word")
     basis = [Morphism.from_diagram(d)
@@ -413,8 +413,10 @@ def gram_matrix(w: Word, max_boxes: int) -> GramResult:
     n = len(basis)
     matrix = [[None] * n for _ in range(n)]
     for i in range(n):
+        # tr(b_i* b_j), with b_i's adjoint built once for its whole row
+        adj = basis[i].adjoint()
         for j in range(i, n):
-            val = inner_product(basis[i], basis[j])
+            val = eval_closed(adj.trace_compose(basis[j]))
             if i == j and val != val.conj():
                 raise InvariantBreach("Gram diagonal not real")
             matrix[i][j] = val

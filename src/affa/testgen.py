@@ -60,12 +60,13 @@ def _try_draw(theory: Theory, max_boxes: int, max_loops: int,
         w = w.click(rng.choice([1, -1]))
         if stats is not None:
             stats["clicked"] = stats.get("clicked", 0) + 1
-    composite = w.adjoint().compose(w)
-    if composite.is_zero():
+    closed = w.adjoint().trace_compose(w)
+    if closed.is_zero():
         # a shading clash can kill the closure; redraw
         return None
+    # both closures are one map on the sphere, but the side is still drawn
+    # and counted, so the random stream and the stats stay as they were
     side = rng.choice(["left", "right"])
-    closed = composite.trace_close(side)
     if stats is not None:
         stats[f"close:{side}"] = stats.get(f"close:{side}", 0) + 1
     loop_labels = sorted(alphabet(theory), key=lambda l: l.value)

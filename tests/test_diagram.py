@@ -624,3 +624,48 @@ def test_compose_and_trace_match_recorded_digests():
     got = [compose_digest(th) for th in theories]
     changed = [r["theory"] for r, g in zip(recorded, got) if r["sha256"] != g]
     assert not changed
+
+
+def test_trace_compose_matches_compose_then_trace():
+    # the one-splice closure against the two-step one, on every defining
+    # relation's pairs (l, l), (l, r), (l - r, l - r) and every Gram pair
+    # of spanning diagrams of the words of length <= 6
+    from affa.equiv import to_image
+    from affa.evaluate import defining_relations
+    from affa.fusion import span_diagrams
+
+    def check(f, g):
+        fs = f.adjoint()
+        one = fs.trace_compose(g)
+        two = fs.compose(g).trace_close()
+        assert one == two
+        assert list(one.terms) == list(two.terms)
+
+    relations = 0
+    for th in digest_theories():
+        for _, lhs, rhs in defining_relations(th):
+            if th.spec.category == "source":
+                lhs, rhs = to_image(lhs), to_image(rhs)
+            for f, g in ((lhs, lhs), (lhs, rhs), (lhs - rhs, lhs - rhs)):
+                check(f, g)
+                relations += 1
+    grams = 0
+    for th in dict.fromkeys(Theory.with_root(th.family, th.n, 1)
+                            for th in rooted_theories(3)):
+        for length in range(7):
+            for word in itertools.product(th.spec.plain, repeat=length):
+                basis = [Morphism.from_diagram(d) for d in
+                         span_diagrams(th, word, length // 2)]
+                for i, f in enumerate(basis):
+                    for g in basis[i:]:
+                        check(f, g)
+                        grams += 1
+    assert (relations, grams) == (2106, 3982)
+    u = Morphism.generator(AR2, BoxKind.U)
+    with pytest.raises(ValueError, match="length"):
+        u.adjoint().trace_compose(Morphism.identity(AR2, [Label.UP]))
+    with pytest.raises(ValueError, match="equal bottom and top"):
+        u.trace_compose(u)
+    other = Morphism.generator(Theory(Family.ARROW_AODD, 2, 4, 3), BoxKind.U)
+    with pytest.raises(ValueError, match="theory mismatch"):
+        u.adjoint().trace_compose(other)
