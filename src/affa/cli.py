@@ -14,7 +14,8 @@ import json
 import sys
 
 from affa.diagram import Morphism
-from affa.theory import SPECS, Family, Label, Theory, rooted_theories
+from affa.theory import (
+    SPECS, Family, Label, Theory, checked_n, rooted_theories)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,7 +48,7 @@ def _theory_from_args(args) -> Theory:
         return Theory(fam)
     if args.n is None:
         raise ValueError(f"{fam.value} needs --n")
-    return Theory.with_root(fam, args.n, args.root_exp)
+    return Theory.with_root(fam, checked_n(args.n), args.root_exp)
 
 
 def _read_morphism(path: str) -> Morphism:

@@ -206,13 +206,13 @@ def check_functor(which: str, m: int, zeta_exp: int = 0) -> dict:
         ok = morphism_eq(image(lhs), image(rhs))
         report["relations"].append({"name": name, "ok": ok})
     if not trivial:
-        from affa.fusion import Word, hom_dim
+        from affa.fusion import Word, grading
         tgt = image_theory(th)
-        unit = Word(tgt, ())
+        unit = grading(Word(tgt, ()))
     for word in _source_words(th, 2 * m):
         src_dim = _source_hom_dim(th, word)
-        tgt_dim = 1 if trivial else hom_dim(
-            unit, Word(tgt, tuple(_LABEL_MAP[l] for l in word)))
+        tgt_dim = 1 if trivial or grading(
+            Word(tgt, tuple(_LABEL_MAP[l] for l in word))) == unit else 0
         report["hom_dims"].append(
             {"word": [l.value for l in word], "source": src_dim,
              "target": tgt_dim, "ok": src_dim == tgt_dim})

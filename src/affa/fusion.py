@@ -2,12 +2,13 @@
 graphs, Bratteli diagrams, traces, and Gram matrices.
 
 Every simple object is an invertible tensor word in the two strand
-generators (P1 = red/up, Q1 = blue/down).  A word's class is its grading
-in the cyclic group Z_m of invertible simples, and hom spaces between
-words are one-dimensional exactly when the gradings agree.  Oriented
-words grade letter by letter (Q1 -> +1, P1 -> -1); checkerboard words
-grade by parity pairs, since the shading alternates along the boundary
-and swaps the roles of the two colors at odd positions.  Gram matrices
+generators (P1 = red/up, Q1 = blue/down).  A word's class is its grading,
+an int in the cyclic group Z_N of invertible simples (any int for the
+infinite families, whose group is Z), and hom spaces between words are
+one-dimensional exactly when the gradings agree.  Oriented words grade
+letter by letter (Q1 -> +1, P1 -> -1); checkerboard words grade by
+parity pairs, since the shading alternates along the boundary and swaps
+the roles of the two colors at odd positions.  Gram matrices
 are computed from exhaustive spanning sets: planar diagrams onto the
 word built from boundary-to-boundary arcs and generator boxes none of
 whose strands touch another box (box-to-box strands always cancel by the
@@ -38,7 +39,6 @@ from affa.diagram import (
     boxleg,
     leg_to_boundary,
 )
-from affa.labeling import GroupElement
 from affa.theory import (
     InvariantBreach,
     Label,
@@ -82,8 +82,9 @@ class Word:
                     tuple(dual_label(l) for l in reversed(self.labels)))
 
 
-def grading(w: Word) -> GroupElement:
-    """The image of the word in the cyclic group of simple classes."""
+def grading(w: Word) -> int:
+    """The word's simple class: its residue in [0, N) for a class group
+    Z_N, or any int for the infinite families."""
     pairs, order = w.theory.grading()
     p1, q1 = plain_expansion(w.theory)
     total = 0
@@ -94,7 +95,7 @@ def grading(w: Word) -> GroupElement:
         if pairs and pos % 2:
             step = -step
         total += step
-    return GroupElement(False, order, total)
+    return total % order if order else total
 
 
 def hom_dim(w1: Word, w2: Word) -> int:
@@ -104,13 +105,12 @@ def hom_dim(w1: Word, w2: Word) -> int:
     return 1 if grading(w1) == grading(w2) else 0
 
 
-def _element_labels(th: Theory, g: GroupElement) -> tuple[Label, ...]:
-    """The canonical shortest word with grading g."""
-    pairs, _ = th.grading()
+def _element_labels(th: Theory, e: int) -> tuple[Label, ...]:
+    """The canonical shortest word of class e."""
+    pairs, order = th.grading()
     p1, q1 = plain_expansion(th)
-    e = g.rot
-    if g.order and e > g.order - e:
-        e -= g.order
+    if order and e > order - e:
+        e -= order
     if not pairs:
         return (q1 if e > 0 else p1,) * abs(e)
     # alternating colors: the shading swaps the letters at odd positions
@@ -134,8 +134,8 @@ class FusionGraph:
     edges: tuple[tuple[int, int, int], ...]
 
 
-def _step(g: GroupElement, delta: int) -> GroupElement:
-    return GroupElement(False, g.order, g.rot + delta)
+def _step(order: int, g: int, delta: int) -> int:
+    return (g + delta) % order if order else g + delta
 
 
 def _class_vertices(th: Theory, radius: int | None):
@@ -143,42 +143,41 @@ def _class_vertices(th: Theory, radius: int | None):
     any class the two summands of the strand move it one step either way
     around the cyclic class group."""
     _, order = th.grading()
-    ident = GroupElement.identity(False, order)
     if order:
         radius = order  # covers the whole finite group
     elif radius is None:
         raise ValueError("infinite families need a radius")
-    seen = {ident: 0}
-    frontier = [ident]
-    elems = [ident]
+    seen = {0: 0}
+    frontier = [0]
+    elems = [0]
     for _ in range(radius):
         nxt = []
         for v in frontier:
             for delta in (+1, -1):
-                u = _step(v, delta)
+                u = _step(order, v, delta)
                 if u not in seen:
                     seen[u] = len(elems)
                     elems.append(u)
                     nxt.append(u)
         frontier = nxt
-    return elems, seen, bool(order)
+    return elems, seen, order
 
 
 def principal_graph(th: Theory, radius: int | None = None) -> FusionGraph:
     """The graph of simple classes under tensoring with the plain strand;
     an affine A cycle for the finite families, a line segment view for the
-    infinite ones."""
-    elems, index, finite = _class_vertices(th, radius)
+    infinite ones.  Each edge is counted once, from its +1 step: Z_2's
+    two steps from one class to the other make a double edge."""
+    elems, index, order = _class_vertices(th, radius)
     counts: dict[tuple[int, int], int] = {}
     for i, v in enumerate(elems):
-        for delta in (+1, -1):
-            j = index.get(_step(v, delta))
-            if j is None:
-                continue  # beyond the requested radius
-            a, b = min(i, j), max(i, j)
-            counts[(a, b)] = counts.get((a, b), 0) + 1
-    edges = tuple(sorted((a, b, c // 2) for (a, b), c in counts.items()))
-    if finite:
+        j = index.get(_step(order, v, +1))
+        if j is None:
+            continue  # beyond the requested radius
+        a, b = min(i, j), max(i, j)
+        counts[(a, b)] = counts.get((a, b), 0) + 1
+    edges = tuple(sorted((a, b, c) for (a, b), c in counts.items()))
+    if order:
         # affine A: every vertex has total degree two, and with all traces
         # equal to one the delta = 2 trace formula holds on the nose
         for i in range(len(elems)):
@@ -196,34 +195,28 @@ def bratteli(th: Theory, rows: int) -> dict:
     if rows < 0:
         raise ValueError("rows must be nonnegative")
     _, order = th.grading()
-    ident = GroupElement.identity(False, order)
-
-    def sort_key(g: GroupElement):
-        return g.rot
-
-    current = {ident: 1}
+    current = {0: 1}
     out_rows = []
     out_edges = []
     dims = []
     for level in range(rows + 1):
-        ordered = sorted(current, key=sort_key)
+        ordered = sorted(current)
         out_rows.append([
             {"word": Word(th, _element_labels(th, g)).display(),
              "mult": current[g]} for g in ordered])
         dims.append(sum(c * c for c in current.values()))
         if level == rows:
             break
-        nxt: dict[GroupElement, int] = {}
+        nxt: dict[int, int] = {}
         edges: dict[tuple[int, int], int] = {}
         for g in current:
             for delta in (+1, -1):
-                h = _step(g, delta)
+                h = _step(order, g, delta)
                 nxt[h] = nxt.get(h, 0) + current[g]
-        ordered_next = sorted(nxt, key=sort_key)
-        pos = {h: j for j, h in enumerate(ordered_next)}
+        pos = {h: j for j, h in enumerate(sorted(nxt))}
         for i, g in enumerate(ordered):
             for delta in (+1, -1):
-                j = pos[_step(g, delta)]
+                j = pos[_step(order, g, delta)]
                 edges[(i, j)] = edges.get((i, j), 0) + 1
         out_edges.append(sorted((i, j, m) for (i, j), m in edges.items()))
         current = nxt

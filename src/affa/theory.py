@@ -201,9 +201,16 @@ SPECS: dict[Family, FamilySpec] = {
 }
 
 
-# The largest size parameter n a JSON theory may carry: a box has about
-# 2n legs, so `Theory.from_json` refuses a larger n from the number alone.
+# The largest size parameter n read from a JSON theory or the command
+# line: a box has about 2n legs, so a larger n is refused from the number.
 MAX_WIRE_N = 1000
+
+
+def checked_n(n) -> int:
+    """n, an integer read from outside, if it is at most MAX_WIRE_N."""
+    if wire.integer(n, "theory n") > MAX_WIRE_N:
+        raise ValueError(f"theory n {n} exceeds {MAX_WIRE_N}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -342,9 +349,7 @@ class Theory:
         if not isinstance(root, dict):
             raise ValueError("malformed theory: root must be an object")
         family = Family(obj["family"])
-        if n is not None and wire.integer(n, "theory n") > MAX_WIRE_N:
-            raise ValueError(f"theory n {n} exceeds {MAX_WIRE_N}")
-        return Theory(family, n,
+        return Theory(family, None if n is None else checked_n(n),
                       wire.integer(root.get("order", 1), "root order"),
                       wire.integer(root.get("exp", 0), "root exp"))
 

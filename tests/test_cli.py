@@ -89,7 +89,48 @@ def _strand_end(end, **fields):
     return lambda doc: doc["terms"][0]["strands"][0][end].update(fields)
 
 
-@pytest.mark.parametrize("bad", [
+def _strand(**fields):
+    return lambda doc: doc["terms"][0]["strands"][0].update(fields)
+
+
+def _box_u_renamed_v(doc):
+    for box in doc["terms"][0]["boxes"]:
+        if box["kind"] == "U":
+            box["kind"] = "V"
+
+
+RED_LOOP = json.loads(
+    Morphism.loop(Theory(Family.COLOR_AODD, 1), Label.RED).serialize())
+UP_IDENTITY = json.loads(Morphism.identity(
+    Theory(Family.ARROW_AODD, 2, 4, 1), [Label.UP]).serialize())
+U2 = Morphism.generator(SH2, BoxKind.U)
+SHADED_BOXED_LINE = json.loads(
+    U2.adjoint().compose(U2).trace_close().serialize())
+
+# (id, line, message): well-formed lines that each break one strand or
+# shading rule of `Diagram.validate`, and a fragment of the message the
+# error row must carry
+RULE_BREAKS = [
+    ("loop-label-not-in-alphabet", _bad_line(_strand(label="Dot")),
+     "not in alphabet"),
+    ("plain-loop-directed", _bad_line(_strand(dir=1)),
+     "plain strand cannot carry a direction"),
+    ("plain-strand-on-box-legs",
+     _bad_line(_strand(label="Plain", dir=0), BOXED_LINE),
+     "cannot end on a box leg"),
+    ("oriented-strand-undirected", _bad_line(_strand(dir=0), BOXED_LINE),
+     "oriented strand needs a direction"),
+    ("red-loop-directed", _bad_line(_strand(dir=1), RED_LOOP),
+     "cannot be directed"),
+    ("plain-strand-at-up-points",
+     _bad_line(_strand(label="Plain", dir=0), UP_IDENTITY),
+     "plain strand at a labeled boundary point"),
+    ("box-u-renamed-v", _bad_line(_box_u_renamed_v, SHADED_BOXED_LINE),
+     "inconsistent checkerboard shading"),
+]
+
+
+@pytest.mark.parametrize("bad,message", [(line, "") for line in [
     "{bad",
     json.dumps(dict(GOOD_LINE, terms=5)),
     _bad_line(_term(coeff={"order": 0, "coeffs": ["1"]})),
@@ -122,7 +163,8 @@ def _strand_end(end, **fields):
     _bad_line(_strand_end("a", k=1)),
     _bad_line(_loop_on_anchor_3),
     _bad_line(lambda doc: doc["theory"].update(n=10**9)),
-], ids=["bad-json", "terms-not-a-list", "coeff-order-zero",
+]] + [(line, message) for _, line, message in RULE_BREAKS],
+    ids=["bad-json", "terms-not-a-list", "coeff-order-zero",
         "theory-root-not-an-object", "anchors-a-list", "anchors-null",
         "endpoint-anchor-overflows", "coeff-overflows",
         "coeff-order-overflows", "theory-root-order-overflows",
@@ -133,8 +175,9 @@ def _strand_end(end, **fields):
         "coeff-divides-by-zero", "coeffs-a-string", "bottom-an-object",
         "coeff-order-a-float", "coeff-order-a-boolean", "coeff-a-boolean",
         "box-rot-a-float", "endpoint-box-a-boolean", "endpoint-extra-key",
-        "loop-on-a-non-canonical-anchor", "theory-n-overflows"])
-def test_eval_batch_ordered_and_reports_errors(tmp_path, bad):
+        "loop-on-a-non-canonical-anchor", "theory-n-overflows",
+        *(name for name, _, _ in RULE_BREAKS)])
+def test_eval_batch_ordered_and_reports_errors(tmp_path, bad, message):
     # every bad line is refused before it is built: a theory of size n
     # builds a box of about 2n legs, so n = 10**9 would take gigabytes
     good = json.dumps(GOOD_LINE)
@@ -148,7 +191,7 @@ def test_eval_batch_ordered_and_reports_errors(tmp_path, bad):
     rows = [json.loads(ln) for ln in out.read_text().splitlines()]
     assert [r["index"] for r in rows] == [0, 1, 2]
     assert rows[0]["value"] == "2" and rows[2]["value"] == "2"
-    assert "error" in rows[1]
+    assert message in rows[1]["error"]
 
 
 def test_boundary_object_is_not_read_as_a_word():
@@ -306,6 +349,14 @@ def test_homdim(tmp_path):
     assert json.loads(out.read_text())["hom_dim"] == 1
 
 
+def test_huge_n_on_the_command_line_is_refused_before_it_is_built():
+    # a theory of size n builds a box of about 2n legs
+    start = time.perf_counter()
+    assert run(["homdim", "--family", "ShadedAodd",
+                "--n", "1000000000"]) == 1
+    assert time.perf_counter() - start < 1.0
+
+
 def test_graph_json_and_dot(tmp_path):
     out = tmp_path / "g.json"
     assert run(["graph", "--family", "UnshadedArrowAeven", "--n", "1",
@@ -428,3 +479,40 @@ def test_output_is_byte_identical_to_recorded(name, argv, tmp_path,
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{name}.out").read_bytes()
+
+
+def _theory_file_argv(argv, path: Path) -> list[str]:
+    """argv with its --family, --n and --root-exp replaced by
+    --theory path, the file holding the theory those flags name."""
+    flags = {"--root-exp": "0"}
+    rest = []
+    args = iter(argv)
+    for arg in args:
+        if arg in ("--family", "--n", "--root-exp"):
+            flags[arg] = next(args)
+        else:
+            rest.append(arg)
+    th = Theory.with_root(Family(flags["--family"]), int(flags["--n"]),
+                          int(flags["--root-exp"]))
+    path.write_text(json.dumps(th.to_json()))
+    return rest + ["--theory", str(path)]
+
+
+@pytest.mark.parametrize("name", ["relcheck-shaded", "homdim",
+                                  "bratteli-arrow-dot", "gram-shaded-root"])
+def test_theory_file_gives_the_same_bytes_as_the_flags(name, tmp_path,
+                                                       monkeypatch):
+    monkeypatch.chdir(DATA)
+    argv = _theory_file_argv(dict(GOLDEN)[name], tmp_path / "theory.json")
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.out").read_bytes()
+
+
+def test_theory_file_with_a_huge_n_is_refused(tmp_path):
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps({"family": "ShadedAodd", "n": 10**9,
+                                "root": {"order": 1, "exp": 0}}))
+    start = time.perf_counter()
+    assert run(["homdim", "--theory", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
