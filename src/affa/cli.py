@@ -212,14 +212,15 @@ def _cmd_gram(args) -> int:
 
 def _cmd_functor_check(args) -> int:
     from affa.equiv import check_functor
-    report = check_functor(args.which, args.m, args.zeta_exp)
+    report = check_functor(args.which, checked_n(args.m), args.zeta_exp)
     _emit_json(args, report)
     return 0 if report["ok"] else 2
 
 
 def _cmd_classify(args) -> int:
     from affa.classify import classify_presentations
-    rows = classify_presentations(args.family, args.n)
+    rows = classify_presentations(
+        args.family, None if args.n is None else checked_n(args.n))
     table = [{"theory": th.to_json(),
               "eigenvalue": None if eig is None else repr(eig),
               "class": cls} for th, eig, cls in rows]

@@ -15,6 +15,11 @@ Endpoints are tuples:
     ("bnd", "bottom"|"top", i)   boundary point
     ("box", b, leg)              physical leg (ccw from bottom-left)
     ("anchor", a, s)             anchor slot s in {0, 1}
+Their canonical order (`_ep_key`) is the bottom points, the box legs,
+the anchor slots, then the top points.  A made diagram writes each
+strand from its lower end, lists the strands in this order and numbers
+its faces walking the endpoints in it.  `_ccw_boundary` lists the
+boundary points counterclockwise.
 
 Orientation is carried by labels: Up/Plus flow upward through the
 boundary, Down/Minus downward.  A strand's `dir` is +1 when the flow
@@ -44,8 +49,8 @@ its terms.
 `Diagram.make` numbers the boxes by a canonical traversal
 (`_canonical_box_order`) over integer tables of the rotation system,
 built once per call.  Loops are set aside before the boxes are numbered,
-so `expand_plain`, which only recolours plain loops, re-sorts the loops
-of a made diagram and never numbers its boxes again.
+so `expand_plain`, which only recolours plain loops, appends them after
+the kept strands of a made diagram and never numbers its boxes again.
 """
 
 from __future__ import annotations
@@ -56,12 +61,12 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from affa import wire
 from affa.cyclotomic import Cyclo
 from affa.theory import (
-    SNK,
     SRC,
     BoxKind,
     InvariantBreach,
@@ -101,6 +106,13 @@ def _ep_key(e: Endpoint):
     return (1 if e[0] == "box" else 2, e[1], e[2])
 
 
+def _ccw_boundary(p: int, q: int) -> tuple[Endpoint, ...]:
+    """The boundary points of a p-to-q diagram counterclockwise: the
+    bottom left to right, then the top right to left."""
+    return (*(bnd("bottom", i) for i in range(p)),
+            *(bnd("top", j) for j in reversed(range(q))))
+
+
 class Strand(NamedTuple):
     a: Endpoint
     b: Endpoint
@@ -111,18 +123,8 @@ class Strand(NamedTuple):
         return self.b if e == self.a else self.a
 
     def flow_at(self, e: Endpoint) -> int:
-        """SRC if the flow starts at e, SNK if it ends there, 0 unoriented."""
-        if not self.dir:
-            return 0
-        if e == self.a:
-            return SRC if self.dir == +1 else SNK
-        return SNK if self.dir == +1 else SRC
-
-
-def _ordered(s: Strand) -> Strand:
-    """s with its endpoints in `_ep_key` order; swapping them negates dir."""
-    return (s if _ep_key(s.a) <= _ep_key(s.b)
-            else Strand(s.b, s.a, s.label, -s.dir))
+        """SRC (+1) where the flow starts, SNK (-1) where it ends, else 0."""
+        return self.dir if e == self.a else -self.dir
 
 
 def _canonical_box_order(theory: Theory, bottom: Sequence[Label],
@@ -144,8 +146,8 @@ def _canonical_box_order(theory: Theory, bottom: Sequence[Label],
     if nb <= 1:
         return list(range(nb))
     p, q = len(bottom), len(top)
-    # the boundary's rotation runs the top left to right, then the bottom
-    # right to left (see `Diagram.faces`)
+    # the boundary's rotation is `_ccw_boundary` reversed: the top left
+    # to right, then the bottom right to left (see `Diagram.faces`)
     rots: list[list] = [[None] * leg_count(theory, k) for k, _ in boxes]
     rots.append([None] * (p + q))
 
@@ -269,10 +271,12 @@ class FaceTable(NamedTuple):
 
 
 def _face_table(d: Diagram) -> FaceTable:
-    """d's FaceTable; ValueError if a strand endpoint is used twice."""
+    """d's FaceTable; ValueError if a strand endpoint is used twice.
+    Faces are numbered walking the endpoints in `_ep_key` order."""
+    p, q = len(d.bottom), len(d.top)
+    ccw = _ccw_boundary(p, q)
     rotations = (
-        (*(bnd("top", j) for j in range(len(d.top))),
-         *(bnd("bottom", i) for i in reversed(range(len(d.bottom))))),
+        ccw[::-1],
         *(tuple(boxleg(b, c) for c in range(leg_count(d.theory, kind)))
           for b, (kind, _) in enumerate(d.boxes)),
         *((anchor(a, 0), anchor(a, 1)) for a in range(d.n_anchors)))
@@ -287,7 +291,7 @@ def _face_table(d: Diagram) -> FaceTable:
         return FaceTable(rotations, strand_at, None)
     faces: list[tuple[Endpoint, ...]] = []
     face_of: dict[Endpoint, int] = {}
-    for e in sorted(succ, key=_ep_key):
+    for e in chain(ccw[:p], *rotations[1:], rotations[0][:q]):
         face = []
         while e not in face_of:
             face_of[e] = len(faces)
@@ -314,22 +318,23 @@ class Diagram:
              boxes: Sequence[tuple[BoxKind, int]],
              strands: Iterable[Strand]) -> "Diagram":
         """Canonical constructor: normalizes box rotations mod leg count,
-        orders each strand's endpoints (again once boxes are renumbered),
         names each oriented strand by the object at its source, numbers
-        the boxes by `_canonical_box_order`, and numbers and names the
-        free loops.  Every strand between anchor slots is a loop, whatever
-        anchor ids it carries; a loop flowing from slot 1 to slot 0 takes
-        its dual label.  Loops are set aside before the boxes are
-        numbered, so recolouring one cannot move a box; `_with_loops`
-        puts them back.  The input must use each boundary point and box
+        the boxes by `_canonical_box_order`, then writes each strand from
+        its lower end and sorts them, keying each end once.  Every strand
+        between anchor slots is a loop, whatever anchor ids it carries,
+        named by its flow from slot 0 to slot 1 (the dual label if it
+        flows back).  Loops are set aside before the boxes are numbered,
+        so recolouring one cannot move a box; `_loop_strands` puts them on
+        anchors 0..k-1.  The input must use each boundary point and box
         leg exactly once, as `validate` checks: `from_json` validates a
         diagram before it is made, and the operations keep this."""
         boxes = tuple((k, r % leg_count(theory, k)) for k, r in boxes)
         out, loops = [], []
-        for s in map(_ordered, strands):
+        for s in strands:
             if s.a[0] == "anchor" and s.b[0] == "anchor":
-                loops.append((dual_label(s.label), +1) if s.dir == -1
-                             else (s.label, s.dir))
+                flow = s.dir if s.a[2] == 0 else -s.dir
+                loops.append((dual_label(s.label), +1) if flow == -1
+                             else (s.label, flow))
                 continue
             if s.dir:
                 obj = _object_at(theory, boxes, s.a if s.dir == +1 else s.b,
@@ -339,13 +344,23 @@ class Diagram:
             out.append(s)
         order = _canonical_box_order(theory, bottom, top, boxes, out)
         if order != list(range(len(boxes))):
-            old_to_new = {old: new for new, old in enumerate(order)}
+            new = {old: i for i, old in enumerate(order)}
             boxes = tuple(boxes[old] for old in order)
-            out = [_ordered(Strand(
-                boxleg(old_to_new[s.a[1]], s.a[2]) if s.a[0] == "box" else s.a,
-                boxleg(old_to_new[s.b[1]], s.b[2]) if s.b[0] == "box" else s.b,
-                s.label, s.dir)) for s in out]
-        return _with_loops(theory, bottom, top, boxes, out, loops)
+            out = [Strand(
+                boxleg(new[s.a[1]], s.a[2]) if s.a[0] == "box" else s.a,
+                boxleg(new[s.b[1]], s.b[2]) if s.b[0] == "box" else s.b,
+                s.label, s.dir) for s in out]
+        keyed = []
+        for s in out:
+            ka, kb = _ep_key(s.a), _ep_key(s.b)
+            keyed.append((ka, s) if ka < kb
+                         else (kb, Strand(s.b, s.a, s.label, -s.dir)))
+        keyed += ((_ep_key(s.a), s) for s in _loop_strands(loops))
+        keyed.sort(key=itemgetter(0))
+        # from a list: a tuple built from a generator is resized as it
+        # grows, and that raised the peak memory of long runs
+        return Diagram(theory, tuple(bottom), tuple(top), boxes, len(loops),
+                       tuple([s for _, s in keyed]))
 
     # -- rotation system ------------------------------------------------
     @cached_property
@@ -597,16 +612,14 @@ class Morphism:
         """The bare generator box at the given rotation offset, legs running
         straight to the boundary: the first legs to the bottom left to
         right, the rest to the top right to left."""
-        k = leg_count(theory, kind)
         p = len(box_signature(theory, kind)[0])
         letters: list[Label] = []
         strands = []
-        for c in range(k):
-            side, i = ("bottom", c) if c < p else ("top", k - 1 - c)
+        for c, e in enumerate(_ccw_boundary(p, leg_count(theory, kind) - p)):
             letter, flow = leg_to_boundary(theory, theory.leg(kind, rot, c),
-                                           side)
+                                           e[1])
             letters.append(letter)
-            strands.append(Strand(boxleg(0, c), bnd(side, i), letter, flow))
+            strands.append(Strand(boxleg(0, c), e, letter, flow))
         d = Diagram.make(theory, letters[:p], letters[p:][::-1],
                          [(kind, rot)], strands)
         return Morphism.from_diagram(d)
@@ -801,20 +814,11 @@ def _read_boundary(obj) -> tuple[Theory, list[Label], list[Label]]:
 # diagram-level operation internals
 # ---------------------------------------------------------------------------
 
-def _with_loops(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
-                boxes: tuple[tuple[BoxKind, int], ...], strands: list[Strand],
-                loops: list[tuple[Label, int]]) -> Diagram:
-    """The tail of `Diagram.make`: boxes and non-loop strands already
-    canonical, and loops as (label, dir) with dir +1 or 0.  The loops go
-    on anchors 0..k-1 sorted by (label, dir), and all strands are sorted
-    by their `a` ends, which are distinct (each endpoint is on one
-    strand)."""
-    loops = sorted(loops, key=lambda ld: (ld[0].value, ld[1]))
-    out = strands + [Strand(anchor(i, 0), anchor(i, 1), lab, dir)
-                     for i, (lab, dir) in enumerate(loops)]
-    out.sort(key=lambda s: _ep_key(s.a))
-    return Diagram(theory, tuple(bottom), tuple(top), boxes, len(loops),
-                   tuple(out))
+def _loop_strands(loops: Iterable[tuple[Label, int]]) -> list[Strand]:
+    """Free loops given as (label, dir), dir +1 or 0, sorted by (label,
+    dir) and put on anchors 0..k-1, as `Diagram.make` leaves them."""
+    return [Strand(anchor(i, 0), anchor(i, 1), lab, dir) for i, (lab, dir)
+            in enumerate(sorted(loops, key=lambda ld: (ld[0].value, ld[1])))]
 
 
 def _offset_endpoint(e: Endpoint, dbox: int, dbot: int,
@@ -982,43 +986,29 @@ def _adjoint_diagram(d: Diagram) -> Diagram:
 
 def _click_boundary(bottom: Sequence[Label], top: Sequence[Label],
                     steps: int):
-    """Boundary rotation by `steps` notches.  Counterclockwise positions run
-    along the bottom left-to-right then the top right-to-left; a +1 click
-    slides every point one position clockwise (the outer star advances a
-    notch).  Returns (bottom', top', endpoint moves); a label dualizes when
-    its point ends in the other row (each crossing flips row and dualizes)."""
-    p, q = len(bottom), len(top)
-    k = p + q
+    """Boundary rotation by `steps` notches of the counterclockwise
+    positions (`_ccw_boundary`); a +1 click slides every point one
+    position clockwise (the outer star advances a notch).  Returns
+    (bottom', top', endpoint moves); a label dualizes when its point ends
+    in the other row (each crossing flips row and dualizes)."""
+    p, k = len(bottom), len(bottom) + len(top)
+    ccw, word = _ccw_boundary(p, len(top)), (*bottom, *reversed(top))
+    new: list = [None] * k
     moves: dict[Endpoint, Endpoint] = {}
-    if k == 0:
-        return tuple(), tuple(), moves
-
-    def at(pos: int) -> Endpoint:
-        return bnd("bottom", pos) if pos < p else bnd("top", k - 1 - pos)
-
-    labels = {bnd("bottom", i): bottom[i] for i in range(p)}
-    labels.update({bnd("top", j): top[j] for j in range(q)})
-    newb: list = [None] * p
-    newt: list = [None] * q
-    for c in range(k):
-        src, dst = at(c), at((c - steps) % k)
-        lab = labels[src]
-        if src[1] != dst[1]:
-            lab = dual_label(lab)
-        moves[src] = dst
-        if dst[1] == "bottom":
-            newb[dst[2]] = lab
-        else:
-            newt[dst[2]] = lab
-    return tuple(newb), tuple(newt), moves
+    for c, src in enumerate(ccw):
+        pos = (c - steps) % k
+        moves[src] = ccw[pos]
+        new[pos] = word[c] if src[1] == ccw[pos][1] else dual_label(word[c])
+    return tuple(new[:p]), tuple(reversed(new[p:])), moves
 
 
 def _expand_plain_loops(d: Diagram,
                         c: Cyclo) -> Iterator[tuple[Diagram, Cyclo]]:
     """d's terms with its p plain loops coloured, j of them in the first
     colour for j = p down to 0.  d comes from `Diagram.make`, which
-    numbers the boxes with the loops set aside, so only the loops are
-    re-sorted (`_with_loops`); the boxes and other strands are kept."""
+    numbers the boxes with the loops set aside, so the boxes and other
+    strands are kept and the loops go after them (d is closed, so every
+    kept strand starts on a box leg, before the anchors)."""
     kept, loops, p = [], [], 0
     for s in d.strands:
         if s.a[0] != "anchor":
@@ -1035,5 +1025,6 @@ def _expand_plain_loops(d: Diagram,
     for j in range(p, -1, -1):
         coloured = loops + [(first, dir)] * j + [(second, dir)] * (p - j)
         mult = comb(p, j)
-        yield (_with_loops(d.theory, d.bottom, d.top, d.boxes, kept, coloured),
+        yield (Diagram(d.theory, (), (), d.boxes, len(coloured),
+                       tuple(kept + _loop_strands(coloured))),
                c if mult == 1 else c * mult)

@@ -15,8 +15,8 @@ whose strands touch another box (box-to-box strands always cancel by the
 evaluation algorithm).  A box is fitted to its slots by a match
 against the theory's leg table: its legs meet the slots in descending
 (clockwise) order, each leg's entry must fit the letter of its slot,
-and in shaded families a parity test on the rotation, the first leg and
-the first slot picks the canonical shading class (see `_fit_box`).
+and in shaded families a parity test on the first leg and the first slot
+picks the canonical shading class (see `_fit_box`).
 One symmetric elimination (`_rank_and_psd`) gives a Gram matrix's rank
 and positive semidefiniteness; the sign of a non-rational pivot is read
 from a floating-point value (`_positive_real`).
@@ -234,38 +234,36 @@ def trace_of_word(w: Word) -> Cyclo:
 
 @lru_cache(maxsize=None)
 def _fit_box(th: Theory, orbit, letters, first_parity: int):
-    """One concrete (kind, rot, legs, ends) attaching a box of the given
-    click orbit to slots carrying the letters, or None; `ends` holds the
+    """One (kind, legs, ends) attaching a box of the given click orbit at
+    rotation 0 to slots carrying the letters, or None; `ends` holds the
     (letter, direction) of the strand from each leg to its slot, the
     letter serving as its label (`Diagram.make` names an oriented one).
 
     Slot t takes leg (shift - t) % k: the slots run left to right, so
     the legs meeting them run clockwise around the box.  A fit is the
-    first (kind, rot, shift), in that order, at which every leg's
-    leg-table entry fits the letter of its slot.  All fits are
-    proportional by the click relations, so one representative spans
+    first (kind, shift) at which every leg's leg-table entry fits the
+    letter of its slot; a rotation would only shift the table.  All fits
+    are proportional by the click relations, so one representative spans
     their line.  In shaded families the fit must also lie in the
     canonical shading class, the one leaving the outer region unshaded:
-    the star corner's region has checkerboard parity (shift - rot) % 2
-    relative to the region left of the first slot, and that region has
-    parity `first_parity` (the first slot's position mod 2) relative to
-    the outer one (walking along the boundary crosses one strand per
-    point), so the test is
-    (shift - rot) % 2 == star_parity(kind) ^ first_parity.  The other
-    class spans the hom space of the oppositely shaded boundary object,
-    which shares the strand colours."""
+    the star corner's region has checkerboard parity shift % 2 relative
+    to the region left of the first slot, and that region has parity
+    `first_parity` (the first slot's position mod 2) relative to the
+    outer one (walking along the boundary crosses one strand per point),
+    so the test is shift % 2 == star_parity(kind) ^ first_parity.  The
+    other class spans the hom space of the oppositely shaded boundary
+    object, which shares the strand colours."""
     k = len(letters)
     for kind in orbit:
         want = star_parity(kind) ^ first_parity
-        for rot in range(k):
-            for shift in range(k):
-                if th.is_shaded() and (shift - rot) % 2 != want:
-                    continue
-                legs = tuple((shift - t) % k for t in range(k))
-                ends = [leg_to_boundary(th, th.leg(kind, rot, leg), "top")
-                        for leg in legs]
-                if all(e[0] == w for e, w in zip(ends, letters)):
-                    return kind, rot, legs, tuple(ends)
+        for shift in range(k):
+            if th.is_shaded() and shift % 2 != want:
+                continue
+            legs = tuple((shift - t) % k for t in range(k))
+            ends = [leg_to_boundary(th, th.leg(kind, 0, leg), "top")
+                    for leg in legs]
+            if all(e[0] == w for e, w in zip(ends, letters)):
+                return kind, legs, tuple(ends)
     return None
 
 
@@ -311,9 +309,9 @@ def _fillings(th: Theory, word, segments: list, budget: int):
 def span_diagrams(th: Theory, word, max_boxes: int) -> list[Diagram]:
     """Spanning diagrams from nothing to the word whose boxes touch only
     the boundary: one representative per attachment topology (arcs, and
-    per box its click orbit and boundary slots).  In shaded families every
-    box is fitted in the canonical shading class, so each diagram leaves
-    the outer region unshaded."""
+    per box its click orbit and boundary slots, the box at rotation 0).
+    In shaded families every box is fitted in the canonical shading
+    class, so each diagram leaves the outer region unshaded."""
     word = tuple(word)
     results = []
     segments = [list(range(len(word)))] if word else []
@@ -324,9 +322,9 @@ def span_diagrams(th: Theory, word, max_boxes: int) -> list[Diagram]:
             if isinstance(piece, Strand):
                 strands.append(piece)
                 continue
-            kind, rot, legs, ends, slots = piece
+            kind, legs, ends, slots = piece
             b = len(boxes)
-            boxes.append((kind, rot))
+            boxes.append((kind, 0))
             strands.extend(Strand(boxleg(b, leg), bnd("top", pos), lab, dir)
                            for leg, pos, (lab, dir)
                            in zip(legs, slots, ends))

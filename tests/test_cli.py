@@ -357,6 +357,18 @@ def test_huge_n_on_the_command_line_is_refused_before_it_is_built():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--family", "shaded-a-odd", "--n", "1000000000"],
+    ["functor-check", "--which", "rep", "--m", "1000000000"],
+], ids=["classify", "functor-check"])
+def test_huge_classify_n_and_functor_m_are_refused_before_they_are_built(
+        argv):
+    # both build a signature of about 2n legs from the number
+    start = time.perf_counter()
+    assert run(argv) == 1
+    assert time.perf_counter() - start < 1.0
+
+
 def test_graph_json_and_dot(tmp_path):
     out = tmp_path / "g.json"
     assert run(["graph", "--family", "UnshadedArrowAeven", "--n", "1",

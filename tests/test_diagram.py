@@ -14,6 +14,7 @@ from affa.diagram import (
     Diagram,
     Morphism,
     Strand,
+    _ep_key,
     anchor,
     bnd,
     boxleg,
@@ -596,20 +597,29 @@ def digest_theories() -> list[Theory]:
                for m in range(2, 5) for e in range(m)])
 
 
-def compose_digest(th: Theory) -> str:
-    """sha256 over twenty random closed diagrams (finite planar theories
-    only) and, per defining relation, the terms of tr((l - r)* (l - r)):
-    a pin on what compose, adjoint and trace closure produce."""
+def digest_draws_and_closures(th: Theory) -> tuple[list, list]:
+    """Twenty random closed diagrams (finite planar theories only) and,
+    per defining relation, tr((l - r)* (l - r))."""
     from affa.evaluate import defining_relations
     from affa.testgen import random_closed
-    h = hashlib.sha256()
-    if th.spec.category == "finite":
-        for seed in range(20):
-            d = random_closed(th, 6, 2, seed)
-            h.update(json.dumps(d.to_json(), sort_keys=True).encode())
+    draws = ([random_closed(th, 6, 2, seed) for seed in range(20)]
+             if th.spec.category == "finite" else [])
+    closures = []
     for _, lhs, rhs in defining_relations(th):
         diff = lhs - rhs
-        closed = diff.adjoint().compose(diff).trace_close()
+        closures.append(diff.adjoint().compose(diff).trace_close())
+    return draws, closures
+
+
+def compose_digest(th: Theory) -> str:
+    """sha256 over `digest_draws_and_closures(th)`, the terms of each
+    closure sorted: a pin on what compose, adjoint and trace closure
+    produce."""
+    h = hashlib.sha256()
+    draws, closures = digest_draws_and_closures(th)
+    for d in draws:
+        h.update(json.dumps(d.to_json(), sort_keys=True).encode())
+    for closed in closures:
         for t in sorted(json.dumps(d.to_json(c), sort_keys=True)
                         for d, c in closed.terms.items()):
             h.update(t.encode())
@@ -624,6 +634,54 @@ def test_compose_and_trace_match_recorded_digests():
     got = [compose_digest(th) for th in theories]
     changed = [r["theory"] for r, g in zip(recorded, got) if r["sha256"] != g]
     assert not changed
+
+
+def _faces_by_sorted_walk(d: Diagram) -> tuple:
+    """d's faces numbered by a walk over every endpoint sorted by
+    `_ep_key`, on a rotation system built here from d's fields."""
+    from affa.theory import leg_count
+    rotations = [[bnd("top", j) for j in range(len(d.top))]
+                 + [bnd("bottom", i) for i in reversed(range(len(d.bottom)))]]
+    rotations += [[boxleg(b, c) for c in range(leg_count(d.theory, kind))]
+                  for b, (kind, _) in enumerate(d.boxes)]
+    rotations += [[anchor(a, 0), anchor(a, 1)] for a in range(d.n_anchors)]
+    succ = {e: f for rot in rotations for e, f in zip(rot, rot[1:] + rot[:1])}
+    other = {}
+    for s in d.strands:
+        other[s.a], other[s.b] = s.b, s.a
+    faces, seen = [], set()
+    for e in sorted(succ, key=_ep_key):
+        face = []
+        while e not in seen:
+            seen.add(e)
+            face.append(e)
+            e = succ[other[e]]
+        if face:
+            faces.append(tuple(face))
+    return tuple(faces)
+
+
+def test_made_strands_are_in_canonical_order():
+    # make writes each strand from its lower end and sorts the strands
+    # by it, the face table walks the endpoints in that order without
+    # sorting them, and expand_plain leaves its recoloured loops where
+    # make would put them
+    checked, recoloured = 0, 0
+    for th in digest_theories():
+        draws, closures = digest_draws_and_closures(th)
+        for d in draws + [t for m in closures for t in m.terms]:
+            terms = list(Morphism.from_diagram(d).expand_plain().terms)
+            for t in terms:
+                assert t == Diagram.make(t.theory, t.bottom, t.top, t.boxes,
+                                         t.strands), (th, d)
+            recoloured += d.boxes != () and terms != [d]
+            for x in [d] + terms:
+                keys = [(_ep_key(s.a), _ep_key(s.b)) for s in x.strands]
+                assert all(ka < kb for ka, kb in keys), x
+                assert keys == sorted(keys), x
+                assert x.faces() == _faces_by_sorted_walk(x), x
+                checked += 1
+    assert checked > 1000 and recoloured > 100, (checked, recoloured)
 
 
 def test_trace_compose_matches_compose_then_trace():
