@@ -31,14 +31,17 @@ hand it only endpoints and flows; `Diagram.validate` reads a diagram
 from JSON as written, and it is never repaired.
 
 Tensor, compose and trace closure are one operation, a splice: the
-boundary points to be joined are paired, the strands through each pair
-become one, and `_splice` ends in the shading check.  Tensor pairs none.
-Composing a after b moves b's top points past a's top and a's bottom
-points past b's bottom, then pairs b's top point i with a's bottom point
-i; trace closure pairs bottom point i with top point i.  A closed
-pairing tr(a after b) (`Morphism.trace_compose`, behind every inner
-product) joins the glue pairs and the trace pairs in one splice, so the
-open composite is never made.
+boundary points to be joined are paired, `_walk` joins the strands
+through each pair into one, and `_splice` makes the result and ends in
+the shading check.  Tensor pairs none.  Composing a after b moves b's
+top points past a's top and a's bottom points past b's bottom, then
+pairs b's top point i with a's bottom point i; trace closure pairs
+bottom point i with top point i.  A closed pairing tr(a after b)
+(`_close_pair`) walks the glue pairs and the trace pairs at once and
+runs the shading check on the closure as written, so neither the open
+composite nor the closed diagram is made: the evaluator's inner products
+and Gram entries read it unmade.  `Morphism.trace_compose` makes each
+closure.
 A walk between two kept endpoints becomes one strand; a closed walk
 becomes a free loop.  Only `Diagram.make` numbers and names free loops:
 the operations hand it loop strands on any anchor, and it puts each
@@ -847,19 +850,19 @@ def _tensor_diagrams(a: Diagram, b: Diagram) -> Diagram | None:
                    a.boxes + b.boxes, strands, [])
 
 
-def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
-            boxes: Sequence[tuple[BoxKind, int]], strands: Sequence[Strand],
-            pairs: Sequence[tuple[Endpoint, Endpoint]]) -> Diagram | None:
-    """Join strands through each pair of boundary points (none for a
-    tensor), which leave the boundary; other endpoints keep their names.
-    A walk between two kept endpoints becomes one strand, a closed walk a
-    loop strand on anchor 0, which `Diagram.make` numbers and names; free
-    loops in `strands` pass through whatever their anchor ids.  A walk's
-    strand carries its flow and, when unoriented, its colour; `make`
-    orders and names it.  A closed walk starts at its loop's lowest pair
-    and is recorded by its flow there: dir +1 when it flows as the
-    theory's `up` colour would, else -1.  None (the zero term) on a label
-    or flow disagreement along a walk or a checkerboard clash."""
+def _walk(theory: Theory, strands: Sequence[Strand],
+          pairs: Sequence[tuple[Endpoint, Endpoint]]) -> tuple[
+        list[Strand], list[Strand]] | None:
+    """Join strands through each pair of boundary points, which leave the
+    boundary; other endpoints keep their names.  Returns the kept strands
+    and the free loops, or None (the zero term) on a label or flow
+    disagreement along a walk.  A walk between two kept endpoints becomes
+    one kept strand; a closed walk becomes a loop strand on anchor 0, and
+    the free loops in `strands` pass through whatever their anchor ids.
+    A walk's strand carries its flow and, when unoriented, its colour;
+    `Diagram.make` orders and names it.  A closed walk starts at its
+    loop's lowest pair and is recorded by its flow there: dir +1 when it
+    flows as the theory's `up` colour would, else -1."""
     link: dict[Endpoint, Endpoint] = {}
     for x, y in pairs:
         link[x], link[y] = y, x
@@ -891,10 +894,11 @@ def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
             e = link[x]
         return None, label, flow
 
-    out: list[Strand] = []
+    kept: list[Strand] = []
+    loops: list[Strand] = []
     for s in strands:
         if s.a not in link and s.b not in link:
-            out.append(s)
+            (loops if s.a[0] == "anchor" else kept).append(s)
             continue
         if id(s) in done or (s.a in link and s.b in link):
             continue
@@ -903,7 +907,7 @@ def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
         if got is None:
             return None
         end, label, flow = got
-        out.append(Strand(e, end, label or Label.PLAIN, flow))
+        kept.append(Strand(e, end, label or Label.PLAIN, flow))
     up = plain_expansion(theory)[0]
     for x, _ in pairs:
         if id(at[x]) in done:
@@ -916,8 +920,20 @@ def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
             lab, dir = up, (+1 if flow == boundary_flow(up, x[1]) else -1)
         else:
             lab, dir = label or Label.PLAIN, 0
-        out.append(Strand(anchor(0, 0), anchor(0, 1), lab, dir))
-    d = Diagram.make(theory, bottom, top, boxes, out)
+        loops.append(Strand(anchor(0, 0), anchor(0, 1), lab, dir))
+    return kept, loops
+
+
+def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
+            boxes: Sequence[tuple[BoxKind, int]], strands: Sequence[Strand],
+            pairs: Sequence[tuple[Endpoint, Endpoint]]) -> Diagram | None:
+    """The diagram `_walk` leaves of strands joined through `pairs` (none
+    for a tensor), made; None (the zero term) on a disagreement along a
+    walk or a checkerboard clash."""
+    if (walked := _walk(theory, strands, pairs)) is None:
+        return None
+    kept, loops = walked
+    d = Diagram.make(theory, bottom, top, boxes, kept + loops)
     return d if d._shading_consistent() else None
 
 
@@ -949,14 +965,35 @@ def _glue(a: Diagram, b: Diagram) -> Diagram | None:
     return _splice(a.theory, b.bottom, a.top, b.boxes + a.boxes, *stacked)
 
 
-def _trace_glue(a: Diagram, b: Diagram) -> Diagram | None:
-    """tr(a after b), b's bottom word being a's top: the glue pairs and
-    the trace pairs joined in one splice; None = zero term."""
+def _close_pair(a: Diagram, b: Diagram) -> tuple[Diagram, int] | None:
+    """tr(a after b), b's bottom word being a's top, as written: the glue
+    pairs and the trace pairs walked at once, never made.  Returns the
+    unmade closed diagram, its free loops on anchors 0..k-1, and how many
+    of them are plain; None (the zero term) on a disagreement along a walk
+    or a checkerboard clash.  The shading check reads only the rotation
+    system, so it answers on the unmade diagram as on the made one."""
     if (stacked := _stack(a, b)) is None:
         return None
     strands, pairs = stacked
-    return _splice(a.theory, (), (), b.boxes + a.boxes, strands,
-                   pairs + _trace_pairs(len(b.bottom)))
+    walked = _walk(a.theory, strands, pairs + _trace_pairs(len(b.bottom)))
+    if walked is None:
+        return None
+    kept, loops = walked
+    kept += (Strand(anchor(i, 0), anchor(i, 1), s.label, s.dir)
+             for i, s in enumerate(loops))
+    d = Diagram(a.theory, (), (), b.boxes + a.boxes, len(loops), tuple(kept))
+    if not d._shading_consistent():
+        return None
+    return d, sum(s.label is Label.PLAIN for s in loops)
+
+
+def _trace_glue(a: Diagram, b: Diagram) -> Diagram | None:
+    """tr(a after b) made, b's bottom word being a's top; None = zero
+    term."""
+    if (got := _close_pair(a, b)) is None:
+        return None
+    d, _ = got
+    return Diagram.make(d.theory, (), (), d.boxes, d.strands)
 
 
 def _trace_diagram(d: Diagram) -> Diagram | None:

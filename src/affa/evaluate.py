@@ -16,6 +16,12 @@ each term builds one scalar at the end.  The measure (live boxes, free
 loops) strictly decreases at every cancellation and pop, which is
 checked (an InvariantBreach otherwise, also under `python -O`).
 
+An inner product tr(f* g) is never made into a diagram: `trace_pairing`
+closes each term pair with `diagram._close_pair` and reduces the closure
+as written.  Its p plain loops are not expanded, since the p+1 colourings
+share its boxes and so its click exponent: it is worth 2^p times its
+value with the loops popped.
+
 Diagrams of the two source categories are evaluated through their image
 in the oriented-strand theory; see `affa.equiv`.
 """
@@ -23,7 +29,14 @@ in the oriented-strand theory; see `affa.equiv`.
 from __future__ import annotations
 
 from affa.cyclotomic import Cyclo
-from affa.diagram import Diagram, Morphism, Strand, bnd, boundary_arc
+from affa.diagram import (
+    Diagram,
+    Morphism,
+    Strand,
+    _close_pair,
+    bnd,
+    boundary_arc,
+)
 from affa.theory import (
     BoxKind,
     Family,
@@ -75,12 +88,33 @@ def eval_closed(m: Morphism) -> Cyclo:
     return eval_with_steps(m)[0]
 
 
+def trace_pairing(a: Diagram, b: Diagram) -> Cyclo:
+    """tr(a after b) for diagrams of a planar algebra, b's bottom word
+    being a's top: the closure `_close_pair` leaves, reduced as written,
+    times 2^p for its p plain loops."""
+    if (got := _close_pair(a, b)) is None:
+        return Cyclo.zero()
+    d, plain = got
+    val, _ = _eval_term(d)
+    return val * (1 << plain) if plain else val
+
+
 def inner_product(f: Morphism, g: Morphism) -> Cyclo:
-    """tr(f* g) for morphisms with a common boundary, closed by
-    `Morphism.trace_compose` in one splice per term pair."""
+    """tr(f* g) for morphisms with a common boundary, summed over term
+    pairs by `trace_pairing`; the source categories are closed by
+    `Morphism.trace_compose` and evaluated through their image."""
     if (f.theory, f.bottom, f.top) != (g.theory, g.bottom, g.top):
         raise ValueError("inner product needs a common boundary")
-    return eval_closed(f.adjoint().trace_compose(g))
+    fs = f.adjoint()
+    if not f.theory.is_planar_algebra():
+        return eval_closed(fs.trace_compose(g))
+    total = Cyclo.zero()
+    for da, ca in fs.terms.items():
+        for db, cb in g.terms.items():
+            val = trace_pairing(da, db)
+            if not val.is_zero():
+                total = total + ca * cb * val
+    return total
 
 
 def morphism_eq(f: Morphism, g: Morphism) -> bool:
@@ -115,6 +149,8 @@ def _click_to(theory: Theory, boxes: list, b: int, leg: int,
 
 
 def _eval_term(d: Diagram) -> tuple[Cyclo, int]:
+    """The value of a closed diagram, made or as written, each free loop
+    popped at one, and the rewrite steps used."""
     th = d.theory
     conn: dict[tuple[int, int], tuple[int, int]] = {}
     nloops = 0

@@ -34,6 +34,7 @@ from affa.diagram import (
     Diagram,
     Morphism,
     Strand,
+    _adjoint_diagram,
     bnd,
     boundary_arc,
     boxleg,
@@ -396,18 +397,17 @@ def _rank_and_psd(matrix) -> tuple[int, bool]:
 def gram_matrix(w: Word, max_boxes: int) -> GramResult:
     """Gram matrix of the spanning set of Hom(1, w), its exact rank, and
     positive semidefiniteness."""
-    from affa.evaluate import eval_closed
+    from affa.evaluate import trace_pairing
     if Label.PLAIN in w.labels:
         raise ValueError("gram_matrix needs a concrete word")
-    basis = [Morphism.from_diagram(d)
-             for d in span_diagrams(w.theory, w.labels, max_boxes)]
+    basis = span_diagrams(w.theory, w.labels, max_boxes)
     n = len(basis)
     matrix = [[None] * n for _ in range(n)]
     for i in range(n):
         # tr(b_i* b_j), with b_i's adjoint built once for its whole row
-        adj = basis[i].adjoint()
+        adj = _adjoint_diagram(basis[i])
         for j in range(i, n):
-            val = eval_closed(adj.trace_compose(basis[j]))
+            val = trace_pairing(adj, basis[j])
             if i == j and val != val.conj():
                 raise InvariantBreach("Gram diagonal not real")
             matrix[i][j] = val

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -528,3 +531,18 @@ def test_theory_file_with_a_huge_n_is_refused(tmp_path):
     start = time.perf_counter()
     assert run(["homdim", "--theory", str(path)]) == 1
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("module", ["affa", "affa.cli"])
+def test_python_m_runs_the_command_line(module):
+    # `python -m affa` and `python -m affa.cli` are the `affa` script: an
+    # n over the bound is an input error, exit 1, not a silent exit 0
+    import affa
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(affa.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-m", module, "classify", "--family",
+         "shaded-a-odd", "--n", "1000000000"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1, out
+    assert out.stderr == "error: theory n 1000000000 exceeds 1000\n"

@@ -321,3 +321,70 @@ def test_saddle_moves_agree_with_the_invariant():
             reached += times
             assert value == invariant(m), d
     assert reached == 6144
+
+
+def _generators_by_boundary(th):
+    """Every generator at every rotation, grouped by its boundary words."""
+    groups: dict = {}
+    for kind in box_kinds(th):
+        for rot in range(leg_count(th, kind)):
+            g = Morphism.generator(th, kind, rot)
+            groups.setdefault((g.bottom, g.top), []).append(g)
+    return list(groups.values())
+
+
+def test_inner_product_equals_the_made_closure():
+    # inner_product reduces each term pair as written; the made closed
+    # morphism, with its terms merged and its plain loops expanded, must
+    # give the same value
+    from affa.cyclotomic import root_power
+    from affa.diagram import _close_pair, _stack, _trace_pairs, _walk
+
+    def check(f, g):
+        got = inner_product(f, g)
+        assert got == eval_closed(f.adjoint().trace_compose(g)), (f, g)
+        return got
+
+    relations = 0
+    for th in rooted_theories(3) + [Theory(Family.SHADED_AINF),
+                                    Theory(Family.ARROW_AINF),
+                                    Theory(Family.COLOR_AINF)]:
+        for _, lhs, rhs in defining_relations(th):
+            d = lhs - rhs
+            check(d, d)
+            check(lhs, rhs)
+            relations += 1
+    assert relations == 558
+    # sums of generators sharing a boundary, with root-of-unity weights
+    sums = 0
+    for th in (SH2, AR2, AE1, CO3):
+        for group in _generators_by_boundary(th):
+            f = g = Morphism.zero(th, group[0].bottom, group[0].top)
+            for i, gen in enumerate(group):
+                f = f + gen.scale(root_power(4, i))
+                g = g + gen.scale(root_power(3, i + 1))
+            if len(f.terms) > 1:
+                check(f, g)
+                check(f, f)
+                sums += 1
+    assert sums == 8
+    # U and V at rotation 0 share a boundary in SH2, but no checkerboard
+    # shading fits their closure: the walk agrees, the shading drops it
+    u = Morphism.generator(SH2, BoxKind.U)
+    v = Morphism.generator(SH2, BoxKind.V)
+    assert (u.bottom, u.top) == (v.bottom, v.top)
+    (a,), (b,) = u.adjoint().terms, v.terms
+    strands, pairs = _stack(a, b)
+    assert _walk(SH2, strands, pairs + _trace_pairs(len(b.bottom)))
+    assert _close_pair(a, b) is None
+    assert check(u, v).is_zero()
+    assert not check(u + v, u + v).is_zero()
+    # p plain strands beside a box close into p plain loops: 2^p
+    for th, kind in ((SH2, BoxKind.U), (AR2, BoxKind.U), (CO3, BoxKind.V)):
+        gen = Morphism.generator(th, kind)
+        for p in range(4):
+            plain = Morphism.identity(th, [Label.PLAIN] * p)
+            f = gen.tensor(plain)
+            (a,), (b,) = f.adjoint().terms, f.terms
+            assert _close_pair(a, b)[1] == p
+            assert check(f, f) == Cyclo.from_fraction(2 ** p)

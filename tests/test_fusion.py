@@ -249,6 +249,36 @@ def test_spanning_sets_match_recorded_digests():
     assert not changed
 
 
+GRAM_DIGESTS = Path(__file__).parent / "data" / "gram_digests.json"
+
+
+def full_order_theories(n_max: int) -> list[Theory]:
+    """One theory per finite family and n <= n_max, its root of full
+    order."""
+    return [Theory.with_root(th.family, th.n, 1)
+            for th in rooted_theories(n_max) if th.root_exp == 0]
+
+
+def gram_digest(th: Theory) -> str:
+    """sha256 over the repr of the Gram result (matrix, rank, PSD) of
+    every word of length <= 6 in the theory's two strand generators."""
+    h = hashlib.sha256()
+    for length in range(7):
+        for word in itertools.product(th.spec.plain, repeat=length):
+            res = gram_matrix(Word(th, word), length // 2)
+            h.update(repr(res).encode())
+    return h.hexdigest()
+
+
+def test_gram_matrices_match_recorded_digests():
+    recorded = json.loads(GRAM_DIGESTS.read_text())
+    theories = full_order_theories(4)
+    assert [r["theory"] for r in recorded] == [th.to_json() for th in theories]
+    got = [gram_digest(th) for th in theories]
+    changed = [r["theory"] for r, g in zip(recorded, got) if r["sha256"] != g]
+    assert not changed
+
+
 def test_inner_product_is_conjugate_symmetric():
     # gram_matrix fills its lower triangle by conjugation, so check here
     # that <g, f> is the conjugate of <f, g> for every pair of spanning
