@@ -25,6 +25,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _count(text: str) -> int:
+    """A count flag's value (rows, radius, boxes, draws): an int >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return n
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -302,14 +314,15 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("graph", help="principal graph")
     _add_theory_flags(p)
-    p.add_argument("--radius", type=int, help="cutoff for infinite families")
+    p.add_argument("--radius", type=_count,
+                   help="cutoff for infinite families")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_graph)
 
     p = sub.add_parser("bratteli", help="Bratteli diagram rows")
     _add_theory_flags(p)
-    p.add_argument("--rows", type=int, required=True)
+    p.add_argument("--rows", type=_count, required=True)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_bratteli)
@@ -317,7 +330,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gram", help="Gram matrix of a word's spanning set")
     _add_theory_flags(p)
     p.add_argument("--word", default="", help="comma-separated labels")
-    p.add_argument("--max-boxes", type=int)
+    p.add_argument("--max-boxes", type=_count)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_gram)
 
@@ -337,7 +350,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("selftest", help="relation and oracle suites, n <= 3")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--draws", type=int, default=40,
+    p.add_argument("--draws", type=_count, default=40,
                    help="random closed diagrams per finite theory")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_selftest)

@@ -41,7 +41,7 @@ bottom point i with top point i.  A closed pairing tr(a after b)
 runs the shading check on the closure as written, so neither the open
 composite nor the closed diagram is made: the evaluator's inner products
 and Gram entries read it unmade.  `Morphism.trace_compose` makes each
-closure.
+closure, for `testgen` and the tests.
 A walk between two kept endpoints becomes one strand; a closed walk
 becomes a free loop.  Only `Diagram.make` numbers and names free loops:
 the operations hand it loop strands on any anchor, and it puts each

@@ -22,8 +22,10 @@ as written.  Its p plain loops are not expanded, since the p+1 colourings
 share its boxes and so its click exponent: it is worth 2^p times its
 value with the loops popped.
 
-Diagrams of the two source categories are evaluated through their image
-in the oriented-strand theory; see `affa.equiv`.
+A source category of size m >= 2 is evaluated through its functor image
+(`affa.equiv`), which `_to_planar` alone applies.  A size-one source has
+none: `_eval_term` cancels its one-leg boxes in pairs at one, so there a
+valid closed diagram is worth 2^p for its p plain loops.
 """
 
 from __future__ import annotations
@@ -60,20 +62,21 @@ from affa.theory import (
 CLICK_DIR = +1
 
 
+def _to_planar(m: Morphism) -> Morphism:
+    """m, or for a source of size m >= 2 its functor image."""
+    if m.theory.is_planar_algebra() or m.theory.m < 2:
+        return m
+    from affa.equiv import to_image
+    return to_image(m)
+
+
 def eval_with_steps(m: Morphism) -> tuple[Cyclo, int]:
     """Value of a closed morphism and the number of rewrite steps used."""
     if m.bottom or m.top:
         raise ValueError("evaluation requires a closed morphism")
-    if not m.theory.is_planar_algebra():
-        if m.theory.m == 1:
-            # the size-one source categories are trivial: every valid
-            # closed diagram equals the empty one
-            total = Cyclo.zero()
-            for c in m.terms.values():
-                total = total + c
-            return total, 0
-        from affa.equiv import to_image
-        return eval_with_steps(to_image(m))
+    m = _to_planar(m)
+    if not m.theory.is_planar_algebra():  # size one: m is tr(1* m)
+        return inner_product(unit_empty(m.theory), m), 0
     total = Cyclo.zero()
     steps = 0
     for d, c in m.expand_plain().terms.items():
@@ -89,9 +92,9 @@ def eval_closed(m: Morphism) -> Cyclo:
 
 
 def trace_pairing(a: Diagram, b: Diagram) -> Cyclo:
-    """tr(a after b) for diagrams of a planar algebra, b's bottom word
-    being a's top: the closure `_close_pair` leaves, reduced as written,
-    times 2^p for its p plain loops."""
+    """tr(a after b) for diagrams of a planar algebra or a size-one
+    source, b's bottom word being a's top: the closure `_close_pair`
+    leaves, reduced as written, times 2^p for its p plain loops."""
     if (got := _close_pair(a, b)) is None:
         return Cyclo.zero()
     d, plain = got
@@ -100,16 +103,14 @@ def trace_pairing(a: Diagram, b: Diagram) -> Cyclo:
 
 
 def inner_product(f: Morphism, g: Morphism) -> Cyclo:
-    """tr(f* g) for morphisms with a common boundary, summed over term
-    pairs by `trace_pairing`; the source categories are closed by
-    `Morphism.trace_compose` and evaluated through their image."""
+    """tr(f* g) for morphisms with a common boundary: `trace_pairing`
+    summed over the term pairs of f* and g, in every theory."""
     if (f.theory, f.bottom, f.top) != (g.theory, g.bottom, g.top):
         raise ValueError("inner product needs a common boundary")
-    fs = f.adjoint()
-    if not f.theory.is_planar_algebra():
-        return eval_closed(fs.trace_compose(g))
+    pf = _to_planar(f)
+    g = pf if g is f else _to_planar(g)
     total = Cyclo.zero()
-    for da, ca in fs.terms.items():
+    for da, ca in pf.adjoint().terms.items():
         for db, cb in g.terms.items():
             val = trace_pairing(da, db)
             if not val.is_zero():
@@ -191,7 +192,8 @@ def _eval_term(d: Diagram) -> tuple[Cyclo, int]:
         kindB, rotB = boxes[B]
         if leg_count(th, kindB) != k:
             raise InvariantBreach("paired boxes of unequal size")
-        if kindB is not kind_adjoint(kindA):
+        # a one-leg box is a size-one source's: any two joined cancel at one
+        if kindB is not kind_adjoint(kindA) and k > 1:
             raise InvariantBreach("evaluation paired two non-adjoint boxes")
         p = len(box_signature(th, kindA)[0])
         q = k - p

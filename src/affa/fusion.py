@@ -226,9 +226,9 @@ def bratteli(th: Theory, rows: int) -> dict:
 
 def trace_of_word(w: Word) -> Cyclo:
     """The categorical trace of the identity on the word."""
-    from affa.evaluate import eval_closed
+    from affa.evaluate import inner_product
     ident = Morphism.identity(w.theory, list(w.labels))
-    return eval_closed(ident.trace_close("right"))
+    return inner_product(ident, ident)
 
 
 # -- Gram matrices -----------------------------------------------------------

@@ -401,6 +401,22 @@ def test_bratteli(tmp_path):
     assert doc["dims"][0] == 1 and len(doc["dims"]) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["bratteli", "--family", "UnshadedArrowAodd", "--n", "1", "--rows", "-1"],
+    ["gram", "--family", "UnshadedArrowAodd", "--n", "1", "--word", "Down,Up",
+     "--max-boxes", "-1"],
+    ["graph", "--family", "UnshadedArrowAInf", "--radius", "-3"],
+    ["selftest", "--draws", "-5"],
+], ids=["rows", "max-boxes", "radius", "draws"])
+def test_negative_counts_are_refused(argv, tmp_path, capsys):
+    # an input error (exit 1) that names the flag, and no output
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert f"argument {argv[-2]}: {argv[-1]} is negative" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gram(tmp_path):
     out = tmp_path / "gram.json"
     assert run(["gram", "--family", "UnshadedArrowAodd", "--n", "1",
@@ -546,3 +562,21 @@ def test_python_m_runs_the_command_line(module):
         env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 1, out
     assert out.stderr == "error: theory n 1000000000 exceeds 1000\n"
+
+
+def test_golden_script_runs_every_golden():
+    # tests/cli_goldens.py, which CI runs through the installed `affa` and
+    # under `python -O -m affa`, diffs every GOLDEN entry and fails on any
+    import affa
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(affa.__file__).resolve().parents[1]))
+    script = Path(__file__).parent / "cli_goldens.py"
+    ok = subprocess.run([sys.executable, str(script), sys.executable, "-m",
+                         "affa"], env=env, capture_output=True, text=True,
+                        timeout=600)
+    assert ok.returncode == 0, ok
+    assert ok.stdout == f"{len(GOLDEN)} of {len(GOLDEN)} goldens match\n"
+    bad = subprocess.run([sys.executable, str(script), "echo"], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert bad.returncode == 1
+    assert bad.stdout.endswith(f"0 of {len(GOLDEN)} goldens match\n")

@@ -15,7 +15,7 @@ from affa.equiv import (
     source_theory,
     to_image,
 )
-from affa.evaluate import eval_closed, morphism_eq
+from affa.evaluate import eval_closed, inner_product, morphism_eq
 from affa.theory import BoxKind, Family, Label, Theory
 
 
@@ -143,6 +143,26 @@ def test_size_one_source_is_trivial():
     u = Morphism.generator(th, BoxKind.SCRIPT_U)
     ustar = Morphism.generator(th, BoxKind.SCRIPT_USTAR)
     assert eval_closed(ustar.compose(u)) == Cyclo.one()
+    # the plain strand is Plus + Minus, so a plain loop is worth two at
+    # size one as through the image at every larger size
+    for m in range(1, 5):
+        th = source_theory("rep", m)
+        plain = Morphism.identity(th, [Label.PLAIN])
+        assert eval_closed(Morphism.loop(th, Label.PLAIN)) \
+            == Cyclo.from_fraction(2), m
+        assert inner_product(plain, plain) == Cyclo.from_fraction(2), m
+        # beside a closed box pair: still one factor of two per loop
+        cup = Morphism.generator(th, BoxKind.NCUP_MINUS)
+        loops = Morphism.loop(th, Label.PLAIN).tensor(
+            Morphism.loop(th, Label.PLAIN))
+        assert eval_closed(loops.tensor(cup.adjoint().compose(cup))) \
+            == Cyclo.from_fraction(4), m
+    # at size one two boxes that are not adjoint still close to one
+    th = source_theory("rep", 1)
+    caps = Morphism.generator(th, BoxKind.NCAP_PLUS).tensor(
+        Morphism.generator(th, BoxKind.NCAP_MINUS))
+    assert eval_closed(caps.compose(Morphism.cup(th, Label.PLUS))) \
+        == Cyclo.one()
 
 
 @pytest.mark.parametrize("m", range(1, 5))

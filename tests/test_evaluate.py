@@ -355,6 +355,20 @@ def test_inner_product_equals_the_made_closure():
             check(lhs, rhs)
             relations += 1
     assert relations == 558
+    # the source categories through their functor image (size one by its
+    # 2^p rule): the made closure is evaluated only after it is closed
+    from affa.equiv import source_theory
+    relations = 0
+    for which in ("vec", "rep"):
+        for m in range(1, 5):
+            for e in range(m):
+                th = source_theory(which, m, e)
+                for _, lhs, rhs in defining_relations(th):
+                    d = lhs - rhs
+                    check(d, d)
+                    check(lhs, rhs)
+                    relations += 1
+    assert relations == 160
     # sums of generators sharing a boundary, with root-of-unity weights
     sums = 0
     for th in (SH2, AR2, AE1, CO3):
