@@ -315,7 +315,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("graph", help="principal graph")
     _add_theory_flags(p)
     p.add_argument("--radius", type=_count,
-                   help="cutoff for infinite families")
+                   help="cutoff (infinite families only)")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_graph)

@@ -30,18 +30,22 @@ strand's endpoints (a swap negates `dir`) and names it, so operations
 hand it only endpoints and flows; `Diagram.validate` reads a diagram
 from JSON as written, and it is never repaired.
 
-Tensor, compose and trace closure are one operation, a splice: the
-boundary points to be joined are paired, `_walk` joins the strands
-through each pair into one, and `_splice` makes the result and ends in
-the shading check.  Tensor pairs none.  Composing a after b moves b's
-top points past a's top and a's bottom points past b's bottom, then
-pairs b's top point i with a's bottom point i; trace closure pairs
-bottom point i with top point i.  A closed pairing tr(a after b)
+Compose and trace closure are a splice: the boundary points to be
+joined are paired, `_walk` joins the strands through each pair into one,
+and `_splice` makes the result and ends in the shading check.  Composing
+a after b moves b's top points past a's top and a's bottom points past
+b's bottom, then pairs b's top point i with a's bottom point i; trace
+closure pairs bottom point i with top point i.  Tensor pairs nothing:
+`_beside` numbers b's boxes, boundary points and anchors after a's, and
+the result is made and shading-checked.  A closed pairing tr(a after b)
 (`_close_pair`) walks the glue pairs and the trace pairs at once and
 runs the shading check on the closure as written, so neither the open
 composite nor the closed diagram is made: the evaluator's inner products
 and Gram entries read it unmade.  `Morphism.trace_compose` makes each
-closure, for `testgen` and the tests.
+closure, for the tests.  Each Morphism generator, tensor, click and
+adjoint is an unmade helper (`_generator_box`, `_beside`, `_clicked`,
+`_flipped`) followed by `Diagram.make`; `affa.testgen` grows a random
+word from the helpers alone and makes only its closure.
 A walk between two kept endpoints becomes one strand; a closed walk
 becomes a free loop.  Only `Diagram.make` numbers and names free loops:
 the operations hand it loop strands on any anchor, and it puts each
@@ -612,20 +616,9 @@ class Morphism:
 
     @staticmethod
     def generator(theory: Theory, kind: BoxKind, rot: int = 0) -> "Morphism":
-        """The bare generator box at the given rotation offset, legs running
-        straight to the boundary: the first legs to the bottom left to
-        right, the rest to the top right to left."""
-        p = len(box_signature(theory, kind)[0])
-        letters: list[Label] = []
-        strands = []
-        for c, e in enumerate(_ccw_boundary(p, leg_count(theory, kind) - p)):
-            letter, flow = leg_to_boundary(theory, theory.leg(kind, rot, c),
-                                           e[1])
-            letters.append(letter)
-            strands.append(Strand(boxleg(0, c), e, letter, flow))
-        d = Diagram.make(theory, letters[:p], letters[p:][::-1],
-                         [(kind, rot)], strands)
-        return Morphism.from_diagram(d)
+        """The bare generator box at the given rotation offset
+        (`_generator_box`)."""
+        return Morphism.from_diagram(_made(_generator_box(theory, kind, rot)))
 
     @staticmethod
     def cup(theory: Theory, label: Label) -> "Morphism":
@@ -645,9 +638,8 @@ class Morphism:
     @staticmethod
     def loop(theory: Theory, label: Label) -> "Morphism":
         """A single free loop on a fresh anchor."""
-        dir = +1 if label in ORIENTED_LABELS else 0
-        s = Strand(anchor(0, 0), anchor(0, 1), label, dir)
-        return Morphism.from_diagram(Diagram.make(theory, [], [], [], [s]))
+        return Morphism.from_diagram(Diagram.make(theory, [], [], [],
+                                                  [loop_strand(0, label)]))
 
     # -- linear structure -------------------------------------------------
     def _check_same_boundary(self, other: "Morphism"):
@@ -730,11 +722,10 @@ class Morphism:
                          for d, c in self.terms.items()))
 
     def click(self, steps: int) -> "Morphism":
-        newb, newt, moves = _click_boundary(self.bottom, self.top, steps)
-        return Morphism(self.theory, newb, newt, ((Diagram.make(
-            self.theory, newb, newt, d.boxes,
-            [Strand(moves.get(s.a, s.a), moves.get(s.b, s.b), s.label, s.dir)
-             for s in d.strands]), c) for d, c in self.terms.items()))
+        newb, newt, _ = _click_boundary(self.bottom, self.top, steps)
+        return Morphism(self.theory, newb, newt,
+                        ((_made(_clicked(d, steps)), c)
+                         for d, c in self.terms.items()))
 
     def trace_close(self, side: str = "right") -> "Morphism":
         if self.bottom != self.top:
@@ -817,6 +808,34 @@ def _read_boundary(obj) -> tuple[Theory, list[Label], list[Label]]:
 # diagram-level operation internals
 # ---------------------------------------------------------------------------
 
+def _made(d: Diagram) -> Diagram:
+    """d as `Diagram.make` leaves it."""
+    return Diagram.make(d.theory, d.bottom, d.top, d.boxes, d.strands)
+
+
+def _generator_box(theory: Theory, kind: BoxKind, rot: int) -> Diagram:
+    """The bare generator box at rotation offset `rot` (taken mod its leg
+    count), unmade, legs running straight to the boundary: the first legs
+    to the bottom left to right, the rest to the top right to left."""
+    rot %= leg_count(theory, kind)
+    p = len(box_signature(theory, kind)[0])
+    letters: list[Label] = []
+    strands = []
+    for c, e in enumerate(_ccw_boundary(p, leg_count(theory, kind) - p)):
+        letter, flow = leg_to_boundary(theory, theory.leg(kind, rot, c), e[1])
+        letters.append(letter)
+        strands.append(Strand(boxleg(0, c), e, letter, flow))
+    return Diagram(theory, tuple(letters[:p]), tuple(letters[p:][::-1]),
+                   ((kind, rot),), 0, tuple(strands))
+
+
+def loop_strand(a: int, label: Label) -> Strand:
+    """A free loop of `label` on anchor a, oriented loops flowing from
+    slot 0 to slot 1."""
+    return Strand(anchor(a, 0), anchor(a, 1), label,
+                  +1 if label in ORIENTED_LABELS else 0)
+
+
 def _loop_strands(loops: Iterable[tuple[Label, int]]) -> list[Strand]:
     """Free loops given as (label, dir), dir +1 or 0, sorted by (label,
     dir) and put on anchors 0..k-1, as `Diagram.make` leaves them."""
@@ -824,30 +843,40 @@ def _loop_strands(loops: Iterable[tuple[Label, int]]) -> list[Strand]:
             in enumerate(sorted(loops, key=lambda ld: (ld[0].value, ld[1])))]
 
 
-def _offset_endpoint(e: Endpoint, dbox: int, dbot: int,
-                     dtop: int) -> Endpoint:
-    """e with its box index and boundary position shifted; anchor
-    endpoints pass through, as `Diagram.make` renumbers loops."""
+def _offset_endpoint(e: Endpoint, dbox: int, dbot: int, dtop: int,
+                     danc: int) -> Endpoint:
+    """e with its box index, boundary position and anchor index shifted."""
     if e[0] == "box":
         return boxleg(e[1] + dbox, e[2])
     if e[0] == "anchor":
-        return e
+        return anchor(e[1] + danc, e[2])
     if e[1] == "bottom":
         return bnd("bottom", e[2] + dbot)
     return bnd("top", e[2] + dtop)
 
 
-def _offset_strand(s: Strand, dbox: int, dbot: int, dtop: int) -> Strand:
-    return Strand(_offset_endpoint(s.a, dbox, dbot, dtop),
-                  _offset_endpoint(s.b, dbox, dbot, dtop), s.label, s.dir)
+def _offset_strand(s: Strand, dbox: int, dbot: int, dtop: int,
+                   danc: int = 0) -> Strand:
+    return Strand(_offset_endpoint(s.a, dbox, dbot, dtop, danc),
+                  _offset_endpoint(s.b, dbox, dbot, dtop, danc),
+                  s.label, s.dir)
+
+
+def _beside(a: Diagram, b: Diagram) -> Diagram:
+    """a tensor b, unmade: b to the right of a, its boxes, boundary points
+    and anchors numbered after a's.  The shading check is left to the
+    caller, as a clash is the zero term."""
+    return Diagram(a.theory, a.bottom + b.bottom, a.top + b.top,
+                   a.boxes + b.boxes, a.n_anchors + b.n_anchors,
+                   a.strands + tuple([
+                       _offset_strand(s, len(a.boxes), len(a.bottom),
+                                      len(a.top), a.n_anchors)
+                       for s in b.strands]))
 
 
 def _tensor_diagrams(a: Diagram, b: Diagram) -> Diagram | None:
-    strands = list(a.strands)
-    strands += [_offset_strand(s, len(a.boxes), len(a.bottom), len(a.top))
-                for s in b.strands]
-    return _splice(a.theory, a.bottom + b.bottom, a.top + b.top,
-                   a.boxes + b.boxes, strands, [])
+    d = _made(_beside(a, b))
+    return d if d._shading_consistent() else None
 
 
 def _walk(theory: Theory, strands: Sequence[Strand],
@@ -927,9 +956,9 @@ def _walk(theory: Theory, strands: Sequence[Strand],
 def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
             boxes: Sequence[tuple[BoxKind, int]], strands: Sequence[Strand],
             pairs: Sequence[tuple[Endpoint, Endpoint]]) -> Diagram | None:
-    """The diagram `_walk` leaves of strands joined through `pairs` (none
-    for a tensor), made; None (the zero term) on a disagreement along a
-    walk or a checkerboard clash."""
+    """The diagram `_walk` leaves of strands joined through `pairs`, made;
+    None (the zero term) on a disagreement along a walk or a checkerboard
+    clash."""
     if (walked := _walk(theory, strands, pairs)) is None:
         return None
     kept, loops = walked
@@ -992,8 +1021,7 @@ def _trace_glue(a: Diagram, b: Diagram) -> Diagram | None:
     term."""
     if (got := _close_pair(a, b)) is None:
         return None
-    d, _ = got
-    return Diagram.make(d.theory, (), (), d.boxes, d.strands)
+    return _made(got[0])
 
 
 def _trace_diagram(d: Diagram) -> Diagram | None:
@@ -1002,6 +1030,13 @@ def _trace_diagram(d: Diagram) -> Diagram | None:
 
 
 def _adjoint_diagram(d: Diagram) -> Diagram:
+    return _made(_flipped(d))
+
+
+def _flipped(d: Diagram) -> Diagram:
+    """d's adjoint, unmade: d flipped top to bottom, arrows reversed, each
+    box its adjoint kind at the opposite rotation (mod its leg count, for
+    `star_face_endpoint`)."""
     th = d.theory
 
     def remap(e: Endpoint) -> Endpoint:
@@ -1017,8 +1052,19 @@ def _adjoint_diagram(d: Diagram) -> Diagram:
     strands = [Strand(remap(s.a), remap(s.b), s.label,
                       s.dir if s.a[0] == "anchor" else -s.dir)
                for s in d.strands]
-    return Diagram.make(th, d.top, d.bottom,
-                        [(kind_adjoint(k), -r) for k, r in d.boxes], strands)
+    return Diagram(th, d.top, d.bottom,
+                   tuple((kind_adjoint(k), -r % leg_count(th, k))
+                         for k, r in d.boxes),
+                   d.n_anchors, tuple(strands))
+
+
+def _clicked(d: Diagram, steps: int) -> Diagram:
+    """d with its boundary clicked by `steps` notches (`_click_boundary`),
+    unmade."""
+    newb, newt, moves = _click_boundary(d.bottom, d.top, steps)
+    return Diagram(d.theory, newb, newt, d.boxes, d.n_anchors, tuple(
+        Strand(moves.get(s.a, s.a), moves.get(s.b, s.b), s.label, s.dir)
+        for s in d.strands))
 
 
 def _click_boundary(bottom: Sequence[Label], top: Sequence[Label],

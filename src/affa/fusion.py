@@ -142,10 +142,12 @@ def _step(order: int, g: int, delta: int) -> int:
 def _class_vertices(th: Theory, radius: int | None):
     """BFS of simple classes under tensoring by the plain strand.  From
     any class the two summands of the strand move it one step either way
-    around the cyclic class group."""
+    around the cyclic class group, which a finite family covers whole."""
     _, order = th.grading()
     if order:
-        radius = order  # covers the whole finite group
+        if radius is not None:
+            raise ValueError("a radius applies to infinite families only")
+        radius = order
     elif radius is None:
         raise ValueError("infinite families need a radius")
     seen = {0: 0}

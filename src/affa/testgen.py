@@ -2,14 +2,28 @@
 
 Diagrams are grown by well-typed operations only (tensoring generators and
 loops, clicking, composing with the adjoint, tracing out the boundary), so
-every draw is planar and valid by construction.
+every draw is planar and valid by construction.  A draw is the closure
+tr(w* w) of a random word w.  w is grown unmade, from the unmade forms of
+the operations in `affa.diagram`, and `Diagram.make` runs once per draw,
+on the closure with its loops.  Two shading checks decide a redraw: one on
+the open word, where a tensor such as V tensor U clashes, and the one
+`_close_pair` runs on the closure.  The closure's check alone would not
+do, as a clashing word can close into components that each shade.
 """
 
 from __future__ import annotations
 
 import random
 
-from affa.diagram import Diagram, Morphism
+from affa.diagram import (
+    Diagram,
+    _beside,
+    _clicked,
+    _close_pair,
+    _flipped,
+    _generator_box,
+    loop_strand,
+)
 from affa.theory import (
     InvariantBreach,
     Theory,
@@ -40,40 +54,41 @@ def random_closed(theory: Theory, max_boxes: int, max_loops: int,
 def _try_draw(theory: Theory, max_boxes: int, max_loops: int,
               rng: random.Random, stats: dict | None) -> Diagram | None:
     kinds = box_kinds(theory)
-    w = Morphism.identity(theory, [])
+    w = Diagram(theory, (), (), (), 0, ())
     n_boxes = rng.randint(0, max_boxes // 2) if kinds else 0
     for _ in range(n_boxes):
         kind = rng.choice(kinds)
-        rot = rng.randrange(leg_count(theory, kind))
-        g = Morphism.generator(theory, kind, rot)
+        g = _generator_box(theory, kind,
+                           rng.randrange(leg_count(theory, kind)))
         if rng.random() < 0.5:
-            w = w.tensor(g)
+            w = _beside(w, g)
             side = "right"
         else:
-            w = g.tensor(w)
+            w = _beside(g, w)
             side = "left"
         if stats is not None:
             stats[f"kind:{kind.value}"] = stats.get(f"kind:{kind.value}",
                                                     0) + 1
             stats[f"tensor:{side}"] = stats.get(f"tensor:{side}", 0) + 1
     if (w.bottom or w.top) and rng.random() < 0.5:
-        w = w.click(rng.choice([1, -1]))
+        w = _clicked(w, rng.choice([1, -1]))
         if stats is not None:
             stats["clicked"] = stats.get("clicked", 0) + 1
-    closed = w.adjoint().trace_compose(w)
-    if closed.is_zero():
-        # a shading clash can kill the closure; redraw
+    # a shading clash in the word or in its closure is the zero term;
+    # redraw
+    if not w._shading_consistent() or \
+            (got := _close_pair(_flipped(w), w)) is None:
         return None
+    closed, _ = got
     # both closures are one map on the sphere, but the side is still drawn
     # and counted, so the random stream and the stats stay as they were
     side = rng.choice(["left", "right"])
     if stats is not None:
         stats[f"close:{side}"] = stats.get(f"close:{side}", 0) + 1
     loop_labels = sorted(alphabet(theory), key=lambda l: l.value)
-    for _ in range(rng.randint(0, max_loops)):
-        closed = closed.tensor(Morphism.loop(theory,
-                                             rng.choice(loop_labels)))
-    (d,) = closed.terms
+    loops = [loop_strand(closed.n_anchors + i, rng.choice(loop_labels))
+             for i in range(rng.randint(0, max_loops))]
+    d = Diagram.make(theory, (), (), closed.boxes, [*closed.strands, *loops])
     errors = d.validate()
     if errors:
         raise InvariantBreach("drew an invalid diagram: " + "; ".join(errors))

@@ -417,6 +417,16 @@ def test_negative_counts_are_refused(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_radius_is_refused_for_a_finite_family(tmp_path, capsys):
+    # a finite family's graph is the whole cycle, so a cutoff there is an
+    # input error, not a flag that is silently ignored
+    out = tmp_path / "out"
+    assert run(["graph", "--family", "ShadedAodd", "--n", "3", "--radius",
+                "1", "--out", str(out)]) == 1
+    assert "infinite families only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gram(tmp_path):
     out = tmp_path / "gram.json"
     assert run(["gram", "--family", "UnshadedArrowAodd", "--n", "1",

@@ -101,6 +101,8 @@ def test_infinite_graph_needs_and_respects_radius():
     g = principal_graph(ARINF, radius=3)
     assert len(g.vertices) == 7  # a path: 0, +-1, +-2, +-3
     assert all(t == Fraction(1) for t in g.traces)
+    with pytest.raises(ValueError, match="infinite families only"):
+        principal_graph(SH1, radius=1)
 
 
 def test_bratteli_matches_walk_counts():

@@ -1,7 +1,14 @@
+import hashlib
+import json
+import random
+from pathlib import Path
+
 import pytest
 
-from affa.testgen import random_closed
-from affa.theory import Family, Theory, box_kinds
+from affa.diagram import (Morphism, _beside, _close_pair, _flipped,
+                          _generator_box)
+from affa.testgen import _try_draw, random_closed
+from affa.theory import BoxKind, Family, Theory, box_kinds, rooted_theories
 
 
 SH2 = Theory(Family.SHADED_AODD, 2, 2, 1)
@@ -57,3 +64,52 @@ def test_coverage_over_many_draws(th):
     assert stats.get("close:left", 0) > 0
     assert stats.get("close:right", 0) > 0
     assert stats.get("clicked", 0) > 0
+
+
+DRAW_DIGESTS = Path(__file__).parent / "data" / "draw_digests.json"
+DRAW_THEORIES = rooted_theories(4) + [Theory(Family.SHADED_AINF),
+                                      Theory(Family.ARROW_AINF),
+                                      Theory(Family.COLOR_AINF)]
+
+
+def draw_digest(th: Theory) -> str:
+    """sha256 over the repr of each draw and of its stats, for seeds
+    0..99 at bounds (6, 2) and (4, 0)."""
+    h = hashlib.sha256()
+    for max_boxes, max_loops in ((6, 2), (4, 0)):
+        for seed in range(100):
+            stats: dict = {}
+            d = random_closed(th, max_boxes, max_loops, seed, stats=stats)
+            h.update(repr(d).encode())
+            h.update(repr(stats).encode())
+    return h.hexdigest()
+
+
+def test_draws_match_recorded_digests():
+    recorded = json.loads(DRAW_DIGESTS.read_text())
+    assert [r["theory"] for r in recorded] == \
+        [th.to_json() for th in DRAW_THEORIES]
+    got = [draw_digest(th) for th in DRAW_THEORIES]
+    changed = [r["theory"] for r, g in zip(recorded, got) if r["sha256"] != g]
+    assert not changed
+
+
+def test_a_word_whose_shading_clashes_is_redrawn():
+    # Attempt 0 of seed 8 in ShadedAodd n=1 puts V (rotation 1) and U
+    # (rotation 0) side by side, whose shadings clash, so the word is zero
+    # and the draw goes to attempt 1.  The closure tr(w* w) of that word
+    # passes its own shading check, so only the check on the open word
+    # sends it there.
+    th = Theory(Family.SHADED_AODD, 1, 1, 0)
+    v, u = (Morphism.generator(th, BoxKind.V, 1),
+            Morphism.generator(th, BoxKind.U, 0))
+    assert v.tensor(u).is_zero()
+    w = _beside(_generator_box(th, BoxKind.V, 1),
+                _generator_box(th, BoxKind.U, 0))
+    assert _close_pair(_flipped(w), w) is not None
+
+    def attempt(k):
+        return _try_draw(th, 6, 2, random.Random(8 * 1000003 + k), None)
+
+    assert attempt(0) is None
+    assert random_closed(th, 6, 2, 8) == attempt(1)
