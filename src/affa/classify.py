@@ -44,6 +44,8 @@ def enumerate_presentations(family: str, n: int | None = None) -> list[Theory]:
     if fams is None:
         raise ValueError(f"unknown family {family!r}")
     if SPECS[fams[0]].category == "infinite":
+        if n is not None:
+            raise ValueError("infinite families take no size parameter n")
         return [Theory(fam) for fam in fams]
     if n is None or n < 1:
         raise ValueError("finite families need a positive size parameter")

@@ -18,6 +18,11 @@ from affa.theory import (
     SPECS, Family, Label, Theory, checked_n, rooted_theories)
 
 
+# The output of `bratteli` grows about as rows**3: 2.1 MB at 100 rows
+# for UnshadedArrowAInf.
+MAX_BRATTELI_ROWS = 100
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as input errors (exit 1)."""
 
@@ -50,17 +55,26 @@ def _emit_json(args, doc) -> None:
 
 
 def _theory_from_args(args) -> Theory:
-    if getattr(args, "theory", None):
+    """The theory a file or the family flags name; a flag that the other
+    flags leave without a meaning is an input error."""
+    flags = {"--family": args.family, "--n": args.n,
+             "--root-exp": args.root_exp}
+    if args.theory:
+        if given := [flag for flag, v in flags.items() if v is not None]:
+            raise ValueError(f"--theory cannot be combined with {given[0]}")
         with open(args.theory) as fh:
             return Theory.from_json(json.load(fh))
     if not args.family:
         raise ValueError("give --theory FILE or --family (with --n)")
     fam = Family(args.family)
     if SPECS[fam].category == "infinite":
+        for flag in ("--n", "--root-exp"):
+            if flags[flag] is not None:
+                raise ValueError(f"{flag} applies to finite families only")
         return Theory(fam)
     if args.n is None:
         raise ValueError(f"{fam.value} needs --n")
-    return Theory.with_root(fam, checked_n(args.n), args.root_exp)
+    return Theory.with_root(fam, checked_n(args.n), args.root_exp or 0)
 
 
 def _read_morphism(path: str) -> Morphism:
@@ -198,6 +212,8 @@ def _bratteli_dot(b) -> str:
 def _cmd_bratteli(args) -> int:
     from affa.fusion import bratteli
     th = _theory_from_args(args)
+    if args.rows > MAX_BRATTELI_ROWS:
+        raise ValueError(f"--rows {args.rows} exceeds {MAX_BRATTELI_ROWS}")
     b = bratteli(th, args.rows)
     if args.format == "dot":
         _emit(args, _bratteli_dot(b))
@@ -280,9 +296,11 @@ def _cmd_selftest(args) -> int:
 def _add_theory_flags(p: _Parser) -> None:
     p.add_argument("--theory", help="path to a theory JSON file")
     p.add_argument("--family", help="theory family name")
-    p.add_argument("--n", type=int, help="size parameter")
-    p.add_argument("--root-exp", type=int, default=0,
-                   help="root exponent out of the family's full order")
+    p.add_argument("--n", type=int,
+                   help="size parameter (finite families only)")
+    p.add_argument("--root-exp", type=int,
+                   help="root exponent out of the family's full order "
+                        "(finite families only; default 0)")
 
 
 def _build_parser() -> _Parser:
@@ -322,7 +340,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bratteli", help="Bratteli diagram rows")
     _add_theory_flags(p)
-    p.add_argument("--rows", type=_count, required=True)
+    p.add_argument("--rows", type=_count, required=True,
+                   help=f"last row (at most {MAX_BRATTELI_ROWS})")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_bratteli)

@@ -30,28 +30,25 @@ strand's endpoints (a swap negates `dir`) and names it, so operations
 hand it only endpoints and flows; `Diagram.validate` reads a diagram
 from JSON as written, and it is never repaired.
 
-Compose and trace closure are a splice: the boundary points to be
-joined are paired, `_walk` joins the strands through each pair into one,
-and `_splice` makes the result and ends in the shading check.  Composing
-a after b moves b's top points past a's top and a's bottom points past
-b's bottom, then pairs b's top point i with a's bottom point i; trace
-closure pairs bottom point i with top point i.  Tensor pairs nothing:
-`_beside` numbers b's boxes, boundary points and anchors after a's, and
-the result is made and shading-checked.  A closed pairing tr(a after b)
-(`_close_pair`) walks the glue pairs and the trace pairs at once and
-runs the shading check on the closure as written, so neither the open
-composite nor the closed diagram is made: the evaluator's inner products
-and Gram entries read it unmade.  `Morphism.trace_compose` makes each
-closure, for the tests.  Each Morphism generator, tensor, click and
-adjoint is an unmade helper (`_generator_box`, `_beside`, `_clicked`,
-`_flipped`) followed by `Diagram.make`; `affa.testgen` grows a random
-word from the helpers alone and makes only its closure.
-A walk between two kept endpoints becomes one strand; a closed walk
-becomes a free loop.  Only `Diagram.make` numbers and names free loops:
-the operations hand it loop strands on any anchor, and it puts each
-loop on its own anchor, in label order.  A Morphism sums the
-coefficients of repeated diagrams itself, so each operation just lists
-its terms.
+Every closure is one join (`_join`): the boundary points to be joined
+are paired, the strands through each pair are walked into one, and the
+free loops go on anchors 0..k-1; the join is left unmade.  Composing a
+after b (`_stack`) moves b's top points past a's top and a's bottom
+points past b's bottom, then pairs b's top point i with a's bottom point
+i; trace closure pairs bottom point i with top point i.  Compose and
+trace closure make the join and then run the shading check
+(`_made_shaded`); so does tensor, on `_beside`, which pairs nothing and
+numbers b's boxes, boundary points and anchors after a's.  A closed
+pairing tr(a after b) (`_close_pair`) joins the glue pairs and the trace
+pairs at once and runs the shading check on the join unmade: the
+evaluator's inner products and Gram entries read it as written.  Each
+Morphism generator, tensor, click and adjoint is an unmade helper
+(`_generator_box`, `_beside`, `_clicked`, `_flipped`) followed by
+`Diagram.make`; `affa.testgen` grows a random word from the helpers
+alone and makes only its closure.  `Diagram.make` names the free loops
+and puts each on its own anchor, in label order, whatever anchors the
+operations hand them on.  A Morphism sums the coefficients of repeated
+diagrams itself, so each operation just lists its terms.
 
 `Diagram.make` numbers the boxes by a canonical traversal
 (`_canonical_box_order`) over integer tables of the rotation system,
@@ -698,7 +695,8 @@ class Morphism:
 
     def tensor(self, other: "Morphism") -> "Morphism":
         return self._pairwise(other, "tensor", self.bottom + other.bottom,
-                              self.top + other.top, _tensor_diagrams)
+                              self.top + other.top,
+                              lambda a, b: _made_shaded(_beside(a, b)))
 
     def compose(self, other: "Morphism") -> "Morphism":
         """self after other: glue other's top to self's bottom."""
@@ -706,19 +704,9 @@ class Morphism:
             raise ValueError("compose length mismatch")
         return self._pairwise(other, "compose", other.bottom, self.top, _glue)
 
-    def trace_compose(self, other: "Morphism") -> "Morphism":
-        """tr(self after other): the closed morphism that
-        `self.compose(other).trace_close()` is, built with one splice per
-        term pair, so no open composite is made."""
-        if len(self.bottom) != len(other.top):
-            raise ValueError("compose length mismatch")
-        if other.bottom != self.top:
-            raise ValueError("trace requires equal bottom and top words")
-        return self._pairwise(other, "trace_compose", (), (), _trace_glue)
-
     def adjoint(self) -> "Morphism":
         return Morphism(self.theory, self.top, self.bottom,
-                        ((_adjoint_diagram(d), c.conj())
+                        ((_made(_flipped(d)), c.conj())
                          for d, c in self.terms.items()))
 
     def click(self, steps: int) -> "Morphism":
@@ -813,6 +801,16 @@ def _made(d: Diagram) -> Diagram:
     return Diagram.make(d.theory, d.bottom, d.top, d.boxes, d.strands)
 
 
+def _made_shaded(d: Diagram | None) -> Diagram | None:
+    """d made, or None (the zero term) when d is None or no checkerboard
+    shading fits it.  The check runs on the made diagram, which keeps the
+    FaceTable it builds for the region labeling."""
+    if d is None:
+        return None
+    d = _made(d)
+    return d if d._shading_consistent() else None
+
+
 def _generator_box(theory: Theory, kind: BoxKind, rot: int) -> Diagram:
     """The bare generator box at rotation offset `rot` (taken mod its leg
     count), unmade, legs running straight to the boundary: the first legs
@@ -874,24 +872,19 @@ def _beside(a: Diagram, b: Diagram) -> Diagram:
                        for s in b.strands]))
 
 
-def _tensor_diagrams(a: Diagram, b: Diagram) -> Diagram | None:
-    d = _made(_beside(a, b))
-    return d if d._shading_consistent() else None
-
-
-def _walk(theory: Theory, strands: Sequence[Strand],
-          pairs: Sequence[tuple[Endpoint, Endpoint]]) -> tuple[
-        list[Strand], list[Strand]] | None:
-    """Join strands through each pair of boundary points, which leave the
-    boundary; other endpoints keep their names.  Returns the kept strands
-    and the free loops, or None (the zero term) on a label or flow
-    disagreement along a walk.  A walk between two kept endpoints becomes
-    one kept strand; a closed walk becomes a loop strand on anchor 0, and
-    the free loops in `strands` pass through whatever their anchor ids.
-    A walk's strand carries its flow and, when unoriented, its colour;
-    `Diagram.make` orders and names it.  A closed walk starts at its
-    loop's lowest pair and is recorded by its flow there: dir +1 when it
-    flows as the theory's `up` colour would, else -1."""
+def _join(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
+          boxes: Sequence[tuple[BoxKind, int]], strands: Sequence[Strand],
+          pairs: Sequence[tuple[Endpoint, Endpoint]]) -> Diagram | None:
+    """The diagram of strands joined through each pair of boundary points,
+    which leave the boundary, unmade; None (the zero term) on a label or
+    flow disagreement along a walk.  Other endpoints keep their names.  A
+    walk between two kept endpoints becomes one kept strand, and a closed
+    walk a free loop; the kept strands come first, then the free loops of
+    `strands` and the closed walks, on anchors 0..k-1.  A walk's strand
+    carries its flow and, when unoriented, its colour; `Diagram.make`
+    orders and names it.  A closed walk starts at its loop's lowest pair
+    and is recorded by its flow there: dir +1 when it flows as the
+    theory's `up` colour would, else -1."""
     link: dict[Endpoint, Endpoint] = {}
     for x, y in pairs:
         link[x], link[y] = y, x
@@ -927,7 +920,12 @@ def _walk(theory: Theory, strands: Sequence[Strand],
     loops: list[Strand] = []
     for s in strands:
         if s.a not in link and s.b not in link:
-            (loops if s.a[0] == "anchor" else kept).append(s)
+            if s.a[0] == "anchor":
+                s = Strand(anchor(len(loops), s.a[2]),
+                           anchor(len(loops), s.b[2]), s.label, s.dir)
+                loops.append(s)
+            else:
+                kept.append(s)
             continue
         if id(s) in done or (s.a in link and s.b in link):
             continue
@@ -949,21 +947,10 @@ def _walk(theory: Theory, strands: Sequence[Strand],
             lab, dir = up, (+1 if flow == boundary_flow(up, x[1]) else -1)
         else:
             lab, dir = label or Label.PLAIN, 0
-        loops.append(Strand(anchor(0, 0), anchor(0, 1), lab, dir))
-    return kept, loops
-
-
-def _splice(theory: Theory, bottom: Sequence[Label], top: Sequence[Label],
-            boxes: Sequence[tuple[BoxKind, int]], strands: Sequence[Strand],
-            pairs: Sequence[tuple[Endpoint, Endpoint]]) -> Diagram | None:
-    """The diagram `_walk` leaves of strands joined through `pairs`, made;
-    None (the zero term) on a disagreement along a walk or a checkerboard
-    clash."""
-    if (walked := _walk(theory, strands, pairs)) is None:
-        return None
-    kept, loops = walked
-    d = Diagram.make(theory, bottom, top, boxes, kept + loops)
-    return d if d._shading_consistent() else None
+        loops.append(Strand(anchor(len(loops), 0), anchor(len(loops), 1),
+                            lab, dir))
+    return Diagram(theory, tuple(bottom), tuple(top), tuple(boxes),
+                   len(loops), tuple(kept + loops))
 
 
 def _stack(a: Diagram, b: Diagram) -> tuple[
@@ -991,7 +978,8 @@ def _glue(a: Diagram, b: Diagram) -> Diagram | None:
     """a after b (b's top glued to a's bottom); None = zero term."""
     if (stacked := _stack(a, b)) is None:
         return None
-    return _splice(a.theory, b.bottom, a.top, b.boxes + a.boxes, *stacked)
+    return _made_shaded(_join(a.theory, b.bottom, a.top, b.boxes + a.boxes,
+                              *stacked))
 
 
 def _close_pair(a: Diagram, b: Diagram) -> tuple[Diagram, int] | None:
@@ -1004,33 +992,17 @@ def _close_pair(a: Diagram, b: Diagram) -> tuple[Diagram, int] | None:
     if (stacked := _stack(a, b)) is None:
         return None
     strands, pairs = stacked
-    walked = _walk(a.theory, strands, pairs + _trace_pairs(len(b.bottom)))
-    if walked is None:
+    d = _join(a.theory, (), (), b.boxes + a.boxes, strands,
+              pairs + _trace_pairs(len(b.bottom)))
+    if d is None or not d._shading_consistent():
         return None
-    kept, loops = walked
-    kept += (Strand(anchor(i, 0), anchor(i, 1), s.label, s.dir)
-             for i, s in enumerate(loops))
-    d = Diagram(a.theory, (), (), b.boxes + a.boxes, len(loops), tuple(kept))
-    if not d._shading_consistent():
-        return None
-    return d, sum(s.label is Label.PLAIN for s in loops)
-
-
-def _trace_glue(a: Diagram, b: Diagram) -> Diagram | None:
-    """tr(a after b) made, b's bottom word being a's top; None = zero
-    term."""
-    if (got := _close_pair(a, b)) is None:
-        return None
-    return _made(got[0])
+    return d, sum(s.label is Label.PLAIN and s.a[0] == "anchor"
+                  for s in d.strands)
 
 
 def _trace_diagram(d: Diagram) -> Diagram | None:
-    return _splice(d.theory, (), (), d.boxes, d.strands,
-                   _trace_pairs(len(d.bottom)))
-
-
-def _adjoint_diagram(d: Diagram) -> Diagram:
-    return _made(_flipped(d))
+    return _made_shaded(_join(d.theory, (), (), d.boxes, d.strands,
+                              _trace_pairs(len(d.bottom))))
 
 
 def _flipped(d: Diagram) -> Diagram:

@@ -34,7 +34,7 @@ from affa.diagram import (
     Diagram,
     Morphism,
     Strand,
-    _adjoint_diagram,
+    _flipped,
     bnd,
     boundary_arc,
     boxleg,
@@ -406,8 +406,9 @@ def gram_matrix(w: Word, max_boxes: int) -> GramResult:
     n = len(basis)
     matrix = [[None] * n for _ in range(n)]
     for i in range(n):
-        # tr(b_i* b_j), with b_i's adjoint built once for its whole row
-        adj = _adjoint_diagram(basis[i])
+        # tr(b_i* b_j), with b_i's adjoint flipped once for its whole row
+        # and paired unmade
+        adj = _flipped(basis[i])
         for j in range(i, n):
             val = trace_pairing(adj, basis[j])
             if i == j and val != val.conj():

@@ -26,6 +26,8 @@ def test_enumeration_rejects_bad_input():
         enumerate_presentations("shaded-a-odd")
     with pytest.raises(ValueError):
         enumerate_presentations("a-even", 0)
+    with pytest.raises(ValueError, match="no size parameter"):
+        enumerate_presentations("shaded-a-inf", 5)
 
 
 def test_enumerated_presentations_are_distinct_theories():

@@ -427,6 +427,56 @@ def test_radius_is_refused_for_a_finite_family(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["relcheck", "--family", "ShadedAInf", "--n", "3", "--root-exp", "2"],
+     "--n applies to finite families only"),
+    (["relcheck", "--family", "ShadedAInf", "--root-exp", "2"],
+     "--root-exp applies to finite families only"),
+    (["homdim", "--family", "UnshadedArrowAInf", "--n", "7", "--w1", "Up",
+      "--w2", "Up"], "--n applies to finite families only"),
+    (["graph", "--family", "ShadedAInf", "--n", "4", "--radius", "1"],
+     "--n applies to finite families only"),
+    (["classify", "--family", "shaded-a-inf", "--n", "5"],
+     "infinite families take no size parameter n"),
+    (["relcheck", "--theory", "theory.json", "--family", "ShadedAodd"],
+     "--theory cannot be combined with --family"),
+    (["homdim", "--theory", "theory.json", "--n", "3"],
+     "--theory cannot be combined with --n"),
+    (["gram", "--theory", "theory.json", "--root-exp", "1"],
+     "--theory cannot be combined with --root-exp"),
+], ids=["relcheck-n", "relcheck-root-exp", "homdim-n", "graph-n",
+        "classify-n", "theory-family", "theory-n", "theory-root-exp"])
+def test_a_flag_that_would_be_ignored_is_refused(argv, message, tmp_path,
+                                                 monkeypatch, capsys):
+    # an infinite family has no size or root to choose, and a theory file
+    # names the whole theory: an input error (exit 1) naming the flag, and
+    # no output, not a flag that is silently ignored
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "theory.json").write_text(
+        json.dumps(Theory(Family.SHADED_AODD, 1).to_json()))
+    assert run(argv + ["--out", "out"]) == 1
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bratteli_rows_are_bounded(tmp_path, capsys):
+    # the output grows about as rows**3, so rows past the bound named in
+    # --help are an input error
+    from affa.cli import MAX_BRATTELI_ROWS
+    out = tmp_path / "out"
+    argv = ["bratteli", "--family", "UnshadedArrowAInf", "--out", str(out),
+            "--rows"]
+    assert run(argv + [str(MAX_BRATTELI_ROWS + 1)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: --rows {MAX_BRATTELI_ROWS + 1} exceeds {MAX_BRATTELI_ROWS}\n"
+    assert not out.exists()
+    assert run(argv + [str(MAX_BRATTELI_ROWS)]) == 0
+    assert len(json.loads(out.read_text())["dims"]) == MAX_BRATTELI_ROWS + 1
+    with pytest.raises(SystemExit):
+        run(["bratteli", "--help"])
+    assert f"(at most {MAX_BRATTELI_ROWS})" in capsys.readouterr().out
+
+
 def test_gram(tmp_path):
     out = tmp_path / "gram.json"
     assert run(["gram", "--family", "UnshadedArrowAodd", "--n", "1",

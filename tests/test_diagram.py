@@ -106,7 +106,7 @@ def test_planarity_is_counted_per_component():
 
 
 def test_one_face_table_serves_every_reader(monkeypatch):
-    # _splice's shading check builds the table of the diagram it makes;
+    # _made_shaded's check builds the table of the diagram it makes;
     # validate, the region labels and the exponent read that same table
     import affa.diagram
     from affa.labeling import label_regions, term_exponent
@@ -684,17 +684,22 @@ def test_made_strands_are_in_canonical_order():
     assert checked > 1000 and recoloured > 100, (checked, recoloured)
 
 
-def test_trace_compose_matches_compose_then_trace():
-    # the one-splice closure against the two-step one, on every defining
-    # relation's pairs (l, l), (l, r), (l - r, l - r) and every Gram pair
-    # of spanning diagrams of the words of length <= 6
+def test_close_pair_matches_compose_then_trace():
+    # the one-walk closure, made and summed over the term pairs, against
+    # the two-step one, on every defining relation's pairs (l, l), (l, r),
+    # (l - r, l - r) and every Gram pair of spanning diagrams of the words
+    # of length <= 6
+    from affa.diagram import _close_pair, _made
     from affa.equiv import to_image
     from affa.evaluate import defining_relations
     from affa.fusion import span_diagrams
 
     def check(f, g):
         fs = f.adjoint()
-        one = fs.trace_compose(g)
+        one = Morphism(f.theory, (), (), (
+            (_made(got[0]), ca * cb) for da, ca in fs.terms.items()
+            for db, cb in g.terms.items()
+            if (got := _close_pair(da, db)) is not None))
         two = fs.compose(g).trace_close()
         assert one == two
         assert list(one.terms) == list(two.terms)
@@ -719,11 +724,3 @@ def test_trace_compose_matches_compose_then_trace():
                         check(f, g)
                         grams += 1
     assert (relations, grams) == (2106, 3982)
-    u = Morphism.generator(AR2, BoxKind.U)
-    with pytest.raises(ValueError, match="length"):
-        u.adjoint().trace_compose(Morphism.identity(AR2, [Label.UP]))
-    with pytest.raises(ValueError, match="equal bottom and top"):
-        u.trace_compose(u)
-    other = Morphism.generator(Theory(Family.ARROW_AODD, 2, 4, 3), BoxKind.U)
-    with pytest.raises(ValueError, match="theory mismatch"):
-        u.adjoint().trace_compose(other)

@@ -284,7 +284,7 @@ def test_saddle_moves_agree_with_the_invariant():
     # Words with one boundary fall in two checkerboard classes, and a
     # closure across classes is the zero term (None), so only pairs
     # within one class are closed.
-    from affa.diagram import _adjoint_diagram, _glue, _trace_diagram
+    from affa.diagram import _flipped, _glue, _made, _trace_diagram
     evaluate = _eval_counting_saddle_moves()
     u0, u1 = (Morphism.generator(SH2, BoxKind.U, r) for r in (0, 1))
     m = u1.tensor(u1).click(3).adjoint().compose(u0.tensor(u0)).trace_close()
@@ -301,7 +301,7 @@ def test_saddle_moves_agree_with_the_invariant():
                 (w,) = a.tensor(b).click(c).terms
                 group = classes.setdefault((w.bottom, w.top), [])
                 for cls in group:
-                    if _glue(_adjoint_diagram(cls[0]), w) is not None:
+                    if _glue(_made(_flipped(cls[0])), w) is not None:
                         cls.append(w)
                         break
                 else:
@@ -309,7 +309,7 @@ def test_saddle_moves_agree_with_the_invariant():
     closures: dict = {}
     for cls in (cls for group in classes.values() for cls in group):
         for g in cls:
-            g_star = _adjoint_diagram(g)
+            g_star = _made(_flipped(g))
             for f in cls:
                 d = _trace_diagram(_glue(g_star, f))
                 closures[d] = closures.get(d, 0) + 1
@@ -338,11 +338,12 @@ def test_inner_product_equals_the_made_closure():
     # morphism, with its terms merged and its plain loops expanded, must
     # give the same value
     from affa.cyclotomic import root_power
-    from affa.diagram import _close_pair, _stack, _trace_pairs, _walk
+    from affa.diagram import _close_pair, _join, _stack, _trace_pairs
 
     def check(f, g):
         got = inner_product(f, g)
-        assert got == eval_closed(f.adjoint().trace_compose(g)), (f, g)
+        assert got == eval_closed(f.adjoint().compose(g).trace_close()), \
+            (f, g)
         return got
 
     relations = 0
@@ -389,7 +390,8 @@ def test_inner_product_equals_the_made_closure():
     assert (u.bottom, u.top) == (v.bottom, v.top)
     (a,), (b,) = u.adjoint().terms, v.terms
     strands, pairs = _stack(a, b)
-    assert _walk(SH2, strands, pairs + _trace_pairs(len(b.bottom)))
+    assert _join(SH2, (), (), b.boxes + a.boxes, strands,
+                 pairs + _trace_pairs(len(b.bottom)))
     assert _close_pair(a, b) is None
     assert check(u, v).is_zero()
     assert not check(u + v, u + v).is_zero()
