@@ -179,42 +179,51 @@ def source_theory(which: str, m: int, zeta_exp: int = 0) -> Theory:
     return Theory.with_root(fam, m, zeta_exp)
 
 
-def _source_words(th: Theory, max_len: int):
+def _graded_words(th: Theory, max_len: int):
+    """Every source word of at most max_len letters, shortest first and
+    then in the alphabet's order, as (its label values, its net weight
+    mod m, its image's grading).  Dot and plus weigh +1, minus -1; the
+    image letters move the grading by `fusion.grade_steps`, mod the
+    image's class group.  A size-one source has no strand image, and
+    every word grades 0 there."""
+    from affa.fusion import grade_steps
+    m = th.m
     letters = [l for l in th.spec.alphabet if l is not Label.PLAIN]
-    yield ()
-    words = [()]
-    for _ in range(max_len):
-        words = [w + (l,) for w in words for l in letters]
+    if m < 2:
+        steps, order = [(0, 0)] * len(letters), 1
+    else:
+        tgt = image_theory(th)
+        even, odd = grade_steps(tgt)
+        steps = [(even[_LABEL_MAP[l]], odd[_LABEL_MAP[l]]) for l in letters]
+        order = tgt.grading()[1]
+    moves = [(l.value, ORIENTED_LABELS.get(l, 1), step)
+             for l, step in zip(letters, steps)]
+    words = [((), 0, 0)]
+    yield words[0]
+    for pos in range(max_len):
+        parity = pos % 2
+        words = [(w + (v,), (weight + dw) % m, (grade + step[parity]) % order)
+                 for w, weight, grade in words for v, dw, step in moves]
         yield from words
 
 
-def _source_hom_dim(th: Theory, word) -> int:
-    """dim Hom(unit, word) in the source category: one when the word's
-    net weight vanishes mod m, zero otherwise."""
-    weight = sum(ORIENTED_LABELS.get(l, 1) for l in word)
-    return 1 if weight % th.m == 0 else 0
-
-
 def check_functor(which: str, m: int, zeta_exp: int = 0) -> dict:
-    """Relation preservation, hom-dimension match, and nontriviality."""
+    """Relation preservation, hom-dimension match, and nontriviality.
+    dim Hom(unit, word) is one in the source when the word's net weight
+    vanishes mod m, and in the target when its image grades as the empty
+    word; zero otherwise."""
     from affa.evaluate import defining_relations, inner_product, morphism_eq
     th = source_theory(which, m, zeta_exp)
-    trivial = m < 2
     report: dict = {"which": which, "m": m, "zeta_exp": zeta_exp % m,
                     "relations": [], "hom_dims": [], "nontrivial": False}
     for name, lhs, rhs in defining_relations(th):
         report["relations"].append({"name": name, "ok": morphism_eq(lhs, rhs)})
-    if not trivial:
-        from affa.fusion import Word, grading
-        tgt = image_theory(th)
-        unit = grading(Word(tgt, ()))
-    for word in _source_words(th, 2 * m):
-        src_dim = _source_hom_dim(th, word)
-        tgt_dim = 1 if trivial or grading(
-            Word(tgt, tuple(_LABEL_MAP[l] for l in word))) == unit else 0
-        report["hom_dims"].append(
-            {"word": [l.value for l in word], "source": src_dim,
-             "target": tgt_dim, "ok": src_dim == tgt_dim})
+    hom_dims = report["hom_dims"]
+    for word, weight, grade in _graded_words(th, 2 * m):
+        src_dim = 1 if weight == 0 else 0
+        tgt_dim = 1 if grade == 0 else 0
+        hom_dims.append({"word": list(word), "source": src_dim,
+                         "target": tgt_dim, "ok": src_dim == tgt_dim})
     gen_kind = (BoxKind.SCRIPT_U if which == "vec" else BoxKind.NCUP_MINUS)
     gen = Morphism.generator(th, gen_kind)
     report["nontrivial"] = inner_product(gen, gen) == Cyclo.one()

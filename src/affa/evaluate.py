@@ -16,11 +16,13 @@ each term builds one scalar at the end.  The measure (live boxes, free
 loops) strictly decreases at every cancellation and pop, which is
 checked (an InvariantBreach otherwise, also under `python -O`).
 
-An inner product tr(f* g) is never made into a diagram: `trace_pairing`
-closes each term pair with `diagram._close_pair` and reduces the closure
-as written.  Its p plain loops are not expanded, since the p+1 colourings
-share its boxes and so its click exponent: it is worth 2^p times its
-value with the loops popped.
+An inner product tr(f* g) is never made into a diagram: f's terms are
+flipped unmade (`diagram._flipped`), and `trace_pairing` closes each term
+pair with `diagram._close_pair` and reduces the closure as written.  A
+closure's p plain loops are not expanded, since the p+1 colourings share
+its boxes and so its click exponent: it is worth 2^p times its value
+with the loops popped.  tr(f* f) pairs each unordered term pair once and
+adds the conjugate for the mirror pair.
 
 A source category of size m >= 2 is evaluated through its functor image
 (`affa.equiv`), which `_to_planar` alone applies.  A size-one source has
@@ -36,6 +38,7 @@ from affa.diagram import (
     Morphism,
     Strand,
     _close_pair,
+    _flipped,
     bnd,
     boundary_arc,
 )
@@ -104,17 +107,23 @@ def trace_pairing(a: Diagram, b: Diagram) -> Cyclo:
 
 def inner_product(f: Morphism, g: Morphism) -> Cyclo:
     """tr(f* g) for morphisms with a common boundary: `trace_pairing`
-    summed over the term pairs of f* and g, in every theory."""
+    summed over the term pairs of f* and g, in every theory.  f's terms
+    are flipped unmade, so no adjoint is made.  tr(f* f) pairs each
+    unordered term pair once, since tr(d_j* d_i) is the conjugate of
+    tr(d_i* d_j)."""
     if (f.theory, f.bottom, f.top) != (g.theory, g.bottom, g.top):
         raise ValueError("inner product needs a common boundary")
     pf = _to_planar(f)
-    g = pf if g is f else _to_planar(g)
+    same = g is f
+    gterms = list((pf if same else _to_planar(g)).terms.items())
     total = Cyclo.zero()
-    for da, ca in pf.adjoint().terms.items():
-        for db, cb in g.terms.items():
-            val = trace_pairing(da, db)
+    for i, (da, ca) in enumerate(pf.terms.items()):
+        adj, ca = _flipped(da), ca.conj()
+        for j, (db, cb) in enumerate(gterms[i:] if same else gterms):
+            val = trace_pairing(adj, db)
             if not val.is_zero():
-                total = total + ca * cb * val
+                x = ca * cb * val
+                total = total + (x + x.conj() if same and j else x)
     return total
 
 

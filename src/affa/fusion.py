@@ -83,19 +83,26 @@ class Word:
                     tuple(dual_label(l) for l in reversed(self.labels)))
 
 
+def grade_steps(th: Theory) -> tuple[dict[Label, int], dict[Label, int]]:
+    """How each strand generator moves a word's grading at an even and at
+    an odd position: Q1 by +1 and P1 by -1, the other way round at odd
+    positions when the theory grades by parity pairs."""
+    pairs, _ = th.grading()
+    p1, q1 = plain_expansion(th)
+    even = {q1: 1, p1: -1}
+    return even, {q1: -1, p1: 1} if pairs else even
+
+
 def grading(w: Word) -> int:
     """The word's simple class: its residue in [0, N) for a class group
     Z_N, or any int for the infinite families."""
-    pairs, order = w.theory.grading()
-    p1, q1 = plain_expansion(w.theory)
+    _, order = w.theory.grading()
+    steps = grade_steps(w.theory)
     total = 0
     for pos, l in enumerate(w.labels):
         if l is Label.PLAIN:
             raise ValueError("plain strands have no grading")
-        step = 1 if l is q1 else -1
-        if pairs and pos % 2:
-            step = -step
-        total += step
+        total += steps[pos % 2][l]
     return total % order if order else total
 
 

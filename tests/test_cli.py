@@ -477,6 +477,21 @@ def test_bratteli_rows_are_bounded(tmp_path, capsys):
     assert f"(at most {MAX_BRATTELI_ROWS})" in capsys.readouterr().out
 
 
+def test_functor_check_m_is_bounded(tmp_path, capsys):
+    # the report lists all 2**(2m+1) - 1 words of a rep source, so sizes
+    # past the bound named in --help are an input error
+    from affa.cli import MAX_FUNCTOR_M
+    out = tmp_path / "out"
+    argv = ["functor-check", "--which", "rep", "--out", str(out), "--m"]
+    assert run(argv + [str(MAX_FUNCTOR_M + 1)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: --m {MAX_FUNCTOR_M + 1} exceeds {MAX_FUNCTOR_M}\n"
+    assert not out.exists()
+    with pytest.raises(SystemExit):
+        run(["functor-check", "--help"])
+    assert f"(at most {MAX_FUNCTOR_M})" in capsys.readouterr().out
+
+
 def test_gram(tmp_path):
     out = tmp_path / "gram.json"
     assert run(["gram", "--family", "UnshadedArrowAodd", "--n", "1",

@@ -233,3 +233,28 @@ def test_image_commutes_with_compose_tensor_and_adjoint(which, m):
             to_image(f).adjoint().compose(to_image(f))
         boxes += sum(len(d.boxes) for d in gf.terms)
     assert boxes >= 24
+
+
+@pytest.mark.parametrize("which", ["vec", "rep"])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_hom_dims_match_the_per_word_route(which, m):
+    # the report grades its words as it grows them; the reference builds
+    # every word and grades its image through fusion.grading
+    from affa.fusion import Word, grading
+    image = {Label.DOT: Label.DOWN, Label.PLUS: Label.UP,
+             Label.MINUS: Label.DOWN}
+    weight = {Label.DOT: 1, Label.PLUS: 1, Label.MINUS: -1}
+    for e in range(m):
+        th = source_theory(which, m, e)
+        letters = [l for l in th.spec.alphabet if l is not Label.PLAIN]
+        tt = image_theory(th) if m > 1 else None  # size one: no image
+        rows = []
+        for length in range(2 * m + 1):
+            for word in product(letters, repeat=length):
+                src = 1 if sum(weight[l] for l in word) % m == 0 else 0
+                tgt = 1 if tt is None or grading(
+                    Word(tt, tuple(image[l] for l in word))) \
+                    == grading(Word(tt, ())) else 0
+                rows.append({"word": [l.value for l in word], "source": src,
+                             "target": tgt, "ok": src == tgt})
+        assert check_functor(which, m, e)["hom_dims"] == rows

@@ -404,3 +404,25 @@ def test_inner_product_equals_the_made_closure():
             (a,), (b,) = f.adjoint().terms, f.terms
             assert _close_pair(a, b)[1] == p
             assert check(f, f) == Cyclo.from_fraction(2 ** p)
+
+
+def test_the_half_loop_pairing_equals_the_full_sum():
+    # tr(d* d) of the same object pairs each unordered term pair once and
+    # adds the mirror pair as a conjugate; a copy of d is a distinct
+    # object, so its pairing walks every ordered term pair
+    from affa.equiv import source_theory
+    theories = rooted_theories(3) + [Theory(Family.SHADED_AINF),
+                                     Theory(Family.ARROW_AINF),
+                                     Theory(Family.COLOR_AINF)]
+    theories += [source_theory(which, m, e) for which in ("vec", "rep")
+                 for m in range(1, 5) for e in range(m)]
+    relations = multi = 0
+    for th in theories:
+        for _, lhs, rhs in defining_relations(th):
+            d = lhs - rhs
+            copy = Morphism(d.theory, d.bottom, d.top, d.terms.items())
+            assert copy is not d and copy == d
+            assert inner_product(d, d) == inner_product(d, copy)
+            relations += 1
+            multi += len(d.terms) > 1
+    assert (relations, multi) == (718, 640)
