@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 
+from affa import wire
 from affa.diagram import Morphism
 from affa.theory import (
     SPECS, Family, Label, Theory, checked_n, rooted_theories)
@@ -67,7 +68,7 @@ def _theory_from_args(args) -> Theory:
         if given := [flag for flag, v in flags.items() if v is not None]:
             raise ValueError(f"--theory cannot be combined with {given[0]}")
         with open(args.theory) as fh:
-            return Theory.from_json(json.load(fh))
+            return Theory.from_json(wire.document(fh.read()))
     if not args.family:
         raise ValueError("give --theory FILE or --family (with --n)")
     fam = Family(args.family)

@@ -752,11 +752,7 @@ class Morphism:
 
     @staticmethod
     def parse(data: bytes | str) -> "Morphism":
-        try:
-            doc = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"bad JSON at position {exc.pos}: {exc.msg}") from None
+        doc = wire.document(data)
         th, bottom, top = _read_boundary(doc)
         terms = wire.items(doc.get("terms", []), "terms")
         one = {"order": 1, "coeffs": ["1"]}
@@ -1057,13 +1053,16 @@ def _click_boundary(bottom: Sequence[Label], top: Sequence[Label],
     return tuple(new[:p]), tuple(reversed(new[p:])), moves
 
 
-def _expand_plain_loops(d: Diagram,
-                        c: Cyclo) -> Iterator[tuple[Diagram, Cyclo]]:
-    """d's terms with its p plain loops coloured, j of them in the first
-    colour for j = p down to 0.  d comes from `Diagram.make`, which
-    numbers the boxes with the loops set aside, so the boxes and other
-    strands are kept and the loops go after them (d is closed, so every
-    kept strand starts on a box leg, before the anchors)."""
+def _plain_colourings(d: Diagram) -> tuple[
+        list[Strand], list[tuple[Label, int]],
+        tuple[tuple[Label, int], tuple[Label, int]],
+        list[tuple[int, int, int]]]:
+    """A made closed diagram's plain expansion in parts: its kept strands
+    (all but the free loops, in d's order); its coloured loops as (label,
+    dir); the two colours a plain loop splits into, as (label, dir); and
+    for j = p down to 0, p its plain loops, the colouring (j, p - j,
+    C(p, j)): j plain loops in the first colour and p - j in the second,
+    C(p, j) times.  One colouring, (0, 0, 1), without plain loops."""
     kept, loops, p = [], [], 0
     for s in d.strands:
         if s.a[0] != "anchor":
@@ -1072,14 +1071,25 @@ def _expand_plain_loops(d: Diagram,
             p += 1
         else:
             loops.append((s.label, s.dir))
-    if not p:
+    dir = +1 if d.theory.is_oriented() else 0
+    colours = tuple((lab, dir) for lab in plain_expansion(d.theory))
+    return (kept, loops, colours,
+            [(j, p - j, comb(p, j)) for j in range(p, -1, -1)])
+
+
+def _expand_plain_loops(d: Diagram,
+                        c: Cyclo) -> Iterator[tuple[Diagram, Cyclo]]:
+    """d's terms, one per colouring of its plain loops (`_plain_colourings`).
+    d comes from `Diagram.make`, which numbers the boxes with the loops
+    set aside, so the boxes and other strands are kept and the loops go
+    after them (d is closed, so every kept strand starts on a box leg,
+    before the anchors)."""
+    kept, loops, (first, second), colourings = _plain_colourings(d)
+    if len(colourings) == 1:
         yield d, c
         return
-    first, second = plain_expansion(d.theory)
-    dir = +1 if d.theory.is_oriented() else 0
-    for j in range(p, -1, -1):
-        coloured = loops + [(first, dir)] * j + [(second, dir)] * (p - j)
-        mult = comb(p, j)
+    for j, k, mult in colourings:
+        coloured = loops + [first] * j + [second] * k
         yield (Diagram(d.theory, (), (), d.boxes, len(coloured),
                        tuple(kept + _loop_strands(coloured))),
                c if mult == 1 else c * mult)

@@ -2,9 +2,15 @@
 
 At index 4 a plain strand is the sum of the two strand colors, and in a
 closed diagram every plain strand is a free loop, so a term with p plain
-loops is first split into p+1 terms (the first j loops in the first
-color and the rest in the second, times C(p, j)).  Each resulting term
-is reduced box pair by box pair: the lowest-numbered live box is rotated
+loops is the sum of p+1 colourings (j loops in the first color and the
+rest in the second, times C(p, j), for j = p down to 0).  The colourings
+share the term's base -- its boxes, its kept strands and its loop count
+-- and so its value and its rewrite steps.  So `eval_with_steps` reduces
+each term once, merges the colourings of all terms by (base, loop
+colours), as `expand_plain` merges the diagrams it builds, and counts
+the steps over the merged, nonzero expansion, without building a diagram
+per colouring.  A term is reduced box pair by box pair: the
+lowest-numbered live box is rotated
 until a strand to a second box leaves its first position (each notch of
 rotation applies a click relation, whose cost is a power of the root),
 the partner box is rotated to face it, the remaining parallel strands
@@ -39,6 +45,7 @@ from affa.diagram import (
     Strand,
     _close_pair,
     _flipped,
+    _plain_colourings,
     bnd,
     boundary_arc,
 )
@@ -74,16 +81,40 @@ def _to_planar(m: Morphism) -> Morphism:
 
 
 def eval_with_steps(m: Morphism) -> tuple[Cyclo, int]:
-    """Value of a closed morphism and the number of rewrite steps used."""
+    """Value of a closed morphism and the number of rewrite steps used.
+    Each term is reduced once (terms with one base share the reduction),
+    and the colourings of all terms are merged by key, (base, loop
+    colours); `steps` is summed over the merged colourings with a nonzero
+    coefficient, the terms of `m.expand_plain()`."""
     if m.bottom or m.top:
         raise ValueError("evaluation requires a closed morphism")
     m = _to_planar(m)
     if not m.theory.is_planar_algebra():  # size one: m is tr(1* m)
         return inner_product(unit_empty(m.theory), m), 0
-    total = Cyclo.zero()
-    steps = 0
-    for d, c in m.expand_plain().terms.items():
-        val, st = _eval_term(d)
+    bases: dict[tuple, int] = {}
+    terms: list[Diagram] = []
+    merged: dict[tuple, Cyclo] = {}
+    for d, c in m.terms.items():
+        kept, loops, (first, second), colourings = _plain_colourings(d)
+        b = bases.setdefault(
+            (d.boxes, tuple(kept), len(loops) + len(colourings) - 1),
+            len(terms))
+        if b == len(terms):
+            terms.append(d)
+        # a made loop has one of the two colours; any other is keyed as is
+        rest = tuple(x for x in loops if x != first and x != second)
+        nf, ns = loops.count(first), loops.count(second)
+        for j, k, mult in colourings:
+            key = (b, rest, nf + j, ns + k)
+            x = c if mult == 1 else c * mult
+            merged[key] = merged[key] + x if key in merged else x
+    total, steps, reduced = Cyclo.zero(), 0, {}
+    for (b, *_), c in merged.items():
+        if c.is_zero():
+            continue
+        if b not in reduced:
+            reduced[b] = _eval_term(terms[b])
+        val, st = reduced[b]
         total = total + c * val
         steps += st
     return total, steps

@@ -343,15 +343,24 @@ class Theory:
 
     @staticmethod
     def from_json(obj: dict) -> "Theory":
+        """The theory a JSON object names, one instance per presentation
+        (`_interned`), so its box tables are built once however many
+        terms name it."""
         if not isinstance(obj, dict) or "family" not in obj:
             raise ValueError("malformed theory: missing family")
         n, root = obj.get("n"), obj.get("root", {"order": 1, "exp": 0})
         if not isinstance(root, dict):
             raise ValueError("malformed theory: root must be an object")
         family = Family(obj["family"])
-        return Theory(family, None if n is None else checked_n(n),
-                      wire.integer(root.get("order", 1), "root order"),
-                      wire.integer(root.get("exp", 0), "root exp"))
+        return _interned(family, None if n is None else checked_n(n),
+                         wire.integer(root.get("order", 1), "root order"),
+                         wire.integer(root.get("exp", 0), "root exp"))
+
+
+# The fields are checked JSON ints (never bools, whose hash equals an
+# int's) before they key the cache; a refused theory raises, which
+# lru_cache does not store, so it is refused on every read.
+_interned = lru_cache(maxsize=1024)(Theory)
 
 
 @lru_cache(maxsize=1024)

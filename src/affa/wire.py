@@ -5,15 +5,29 @@ way.  An integer is a JSON int, never a bool or a float.  A word is a
 list of label strings.  An endpoint is an object with exactly its two
 keys.  A coefficient is a string p or p/q of decimal integers, as
 `Cyclo.to_json` writes it (no exponent, whose power of ten `Fraction`
-would build).  This module imports nothing from affa, so that every
+would build).  A document that is not JSON, or nests too deeply for the
+parser, is a ValueError whose text does not depend on the Python
+version.  This module imports nothing from affa, so that every
 module can use it.
 """
 
+import json
 import re
 from fractions import Fraction
 
 _ENDPOINTS = (("box", "leg"), ("bnd", "i"), ("anchor", "side"))
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def document(text: str | bytes):
+    """The JSON value `text` holds."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"bad JSON at position {exc.pos}: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("bad JSON: nested too deeply") from None
 
 
 def integer(x, what: str) -> int:

@@ -7,8 +7,9 @@ Usage, from anywhere, with the command that starts the CLI as arguments:
 
 Each golden's arguments are appended to that command, run in
 tests/data/cli, and its stdout compared byte for byte with the recorded
-`<name>.out`.  A golden that differs, or exits nonzero, prints a unified
-diff; the script exits 1 if any does.
+`<name>.out`, and its exit code with the golden's (0 unless it records
+an error).  A golden that differs in either prints a unified diff; the
+script exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ def main(prefix: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     bad = 0
-    for name, argv in GOLDEN:
+    for name, argv, code in GOLDEN:
         got = subprocess.run(prefix + argv, cwd=DATA, capture_output=True)
         want = (DATA / f"{name}.out").read_bytes()
-        if got.returncode == 0 and got.stdout == want:
+        if got.returncode == code and got.stdout == want:
             continue
         bad += 1
-        print(f"{name}: exit {got.returncode}")
+        print(f"{name}: exit {got.returncode}, expected {code}")
         sys.stdout.writelines(difflib.unified_diff(
             want.decode().splitlines(True),
             got.stdout.decode().splitlines(True),

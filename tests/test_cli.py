@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -166,7 +167,8 @@ RULE_BREAKS = [
     _bad_line(_strand_end("a", k=1)),
     _bad_line(_loop_on_anchor_3),
     _bad_line(lambda doc: doc["theory"].update(n=10**9)),
-]] + [(line, message) for _, line, message in RULE_BREAKS],
+]] + [("[" * 100000, "bad JSON: nested too deeply")]
+    + [(line, message) for _, line, message in RULE_BREAKS],
     ids=["bad-json", "terms-not-a-list", "coeff-order-zero",
         "theory-root-not-an-object", "anchors-a-list", "anchors-null",
         "endpoint-anchor-overflows", "coeff-overflows",
@@ -179,7 +181,7 @@ RULE_BREAKS = [
         "coeff-order-a-float", "coeff-order-a-boolean", "coeff-a-boolean",
         "box-rot-a-float", "endpoint-box-a-boolean", "endpoint-extra-key",
         "loop-on-a-non-canonical-anchor", "theory-n-overflows",
-        *(name for name, _, _ in RULE_BREAKS)])
+        "bad-json-nested-too-deep", *(name for name, _, _ in RULE_BREAKS)])
 def test_eval_batch_ordered_and_reports_errors(tmp_path, bad, message):
     # every bad line is refused before it is built: a theory of size n
     # builds a box of about 2n legs, so n = 10**9 would take gigabytes
@@ -531,10 +533,16 @@ def test_selftest_smoke(tmp_path):
 
 DATA = Path(__file__).parent / "data" / "cli"
 
-# (expected-output file, argv); input files are read from DATA.  The
-# expected outputs were recorded once and pin every subcommand's output
-# byte for byte: values, steps, matrix row order, region labels.
-GOLDEN = [
+class Golden(NamedTuple):
+    name: str  # the expected-output file, <name>.out
+    argv: list[str]
+    code: int = 0  # the exit code, compared exactly
+
+
+# Input files are read from DATA.  The expected outputs were recorded once
+# and pin every subcommand's output byte for byte: values, steps, matrix
+# row order, region labels, and the error rows of a batch.
+GOLDEN = [Golden(*g) for g in [
     ("eval-phase-pair", ["eval", "--in", "phase_pair.json"]),
     ("eval-batch", ["eval", "--batch", "batch.jsonl"]),
     ("eval-batch-loops", ["eval", "--batch", "batch-loops.jsonl"]),
@@ -575,15 +583,17 @@ GOLDEN = [
     ("functor-check-rep", ["functor-check", "--which", "rep", "--m", "2"]),
     ("classify", ["classify", "--family", "unshaded-a-odd", "--n", "2"]),
     ("selftest", ["selftest", "--draws", "1"]),
-]
+    ("eval-batch-errors", ["eval", "--batch", "batch-errors.jsonl"], 1),
+]]
 
 
-@pytest.mark.parametrize("name,argv", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_output_is_byte_identical_to_recorded(name, argv, tmp_path,
+@pytest.mark.parametrize("name,argv,code", GOLDEN,
+                         ids=[g.name for g in GOLDEN])
+def test_output_is_byte_identical_to_recorded(name, argv, code, tmp_path,
                                               monkeypatch):
     monkeypatch.chdir(DATA)
     out = tmp_path / "out"
-    assert run(argv + ["--out", str(out)]) == 0
+    assert run(argv + ["--out", str(out)]) == code
     assert out.read_bytes() == (DATA / f"{name}.out").read_bytes()
 
 
@@ -609,7 +619,8 @@ def _theory_file_argv(argv, path: Path) -> list[str]:
 def test_theory_file_gives_the_same_bytes_as_the_flags(name, tmp_path,
                                                        monkeypatch):
     monkeypatch.chdir(DATA)
-    argv = _theory_file_argv(dict(GOLDEN)[name], tmp_path / "theory.json")
+    argv = _theory_file_argv({g.name: g.argv for g in GOLDEN}[name],
+                             tmp_path / "theory.json")
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{name}.out").read_bytes()
@@ -622,6 +633,17 @@ def test_theory_file_with_a_huge_n_is_refused(tmp_path):
     start = time.perf_counter()
     assert run(["homdim", "--theory", str(path)]) == 1
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_file_nested_too_deeply_is_an_input_error(tmp_path, capsys):
+    # the parser's RecursionError, not a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    for argv in (["eval", "--in", str(path)],
+                 ["homdim", "--theory", str(path)]):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == \
+            "error: bad JSON: nested too deeply\n"
 
 
 @pytest.mark.parametrize("module", ["affa", "affa.cli"])

@@ -385,6 +385,7 @@ def _merging_sums():
     from affa.testgen import random_closed
     for th in (SH2, AR2, AE1, CO2):
         first, second = th.spec.plain
+        f, s = Morphism.loop(th, first), Morphism.loop(th, second)
         for seed in range(3):
             x = Morphism.from_diagram(random_closed(th, 4, 1, seed))
             y = Morphism.from_diagram(random_closed(th, 4, 0, seed + 50))
@@ -392,6 +393,14 @@ def _merging_sums():
             yield (x.tensor(_loops(th, 4))
                    - x.tensor(Morphism.loop(th, first)).tensor(_loops(th, 3))
                    + y.tensor(_loops(th, 3)).scale(z))
+            # three terms on one boxed base: the colourings first^2 second
+            # and second^3 are left, and first second^2 cancels
+            b = Morphism.from_diagram(next(
+                d for k in itertools.count(seed)
+                if (d := random_closed(th, 6, 0, k)).boxes))
+            yield (b.tensor(_loops(th, 3)) - b.tensor(f).tensor(_loops(th, 2))
+                   - b.tensor(f).tensor(s).tensor(s).scale(2)
+                   + y.tensor(s).scale(z))
             yield (_loops(th, 3) - Morphism.loop(th, first)
                    .tensor(_loops(th, 2)) - Morphism.loop(th, second)
                    .tensor(_loops(th, 2)))
@@ -413,6 +422,29 @@ def test_expand_plain_matches_every_colouring():
     assert (_loops(AR2, 3) - Morphism.loop(AR2, Label.UP)
             .tensor(_loops(AR2, 2)) - Morphism.loop(AR2, Label.DOWN)
             .tensor(_loops(AR2, 2))).expand_plain().is_zero()
+
+
+def test_eval_reduces_each_colouring_class_once(monkeypatch):
+    import affa.evaluate
+    from affa.evaluate import _eval_term, eval_with_steps
+    from affa.testgen import random_closed
+    boxed = random_closed(AR2, 6, 0, 1)
+    assert len(boxed.boxes) >= 2
+    m = Morphism.from_diagram(boxed).tensor(_loops(AR2, 20))
+    value, steps = Cyclo.zero(), 0
+    for d, c in m.expand_plain().terms.items():
+        v, st = _eval_term(d)
+        value, steps = value + c * v, steps + st
+    reduced = []
+
+    def counted(d):
+        reduced.append(d)
+        return _eval_term(d)
+
+    # the 21 colourings share the draw's boxes and kept strands
+    monkeypatch.setattr(affa.evaluate, "_eval_term", counted)
+    assert eval_with_steps(m) == (value, steps)
+    assert len(reduced) == 1
 
 
 def test_expand_plain_makes_one_diagram_per_colour_count(monkeypatch):

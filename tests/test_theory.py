@@ -1,3 +1,4 @@
+import json
 import pickle
 from dataclasses import fields
 
@@ -11,6 +12,7 @@ from affa.theory import (
     Family,
     FamilySpec,
     Label,
+    MAX_WIRE_N,
     Theory,
     alphabet,
     box_kinds,
@@ -125,6 +127,28 @@ def test_theory_json_round_trip():
         assert Theory.from_json(th.to_json()) == th
     with pytest.raises(ValueError):
         Theory.from_json({"family": "NoSuchFamily"})
+
+
+def test_theory_json_is_read_to_one_instance_per_presentation():
+    for th in (shaded(3, 3, 2), arrow_even(2, 5, 2), Theory(Family.COLOR_AINF),
+               Theory(Family.SU2_REP, 3, 3, 1)):
+        first = Theory.from_json(th.to_json())
+        assert Theory.from_json(json.loads(json.dumps(th.to_json()))) is first
+        assert first == th
+    # a refused theory is not cached: it is refused on every read
+    root = {"order": 1, "exp": 0}
+    for doc, message in (
+            ({"family": "ShadedAodd", "n": MAX_WIRE_N + 1, "root": root},
+             "exceeds"),
+            ({"family": "ShadedAodd", "n": True, "root": root},
+             "must be an integer"),
+            ({"family": "ShadedAodd", "n": 3, "root": {"order": 2, "exp": 1}},
+             "must divide"),
+            ({"family": "ShadedAodd", "n": 3, "root": {"order": 3, "exp": 3}},
+             "reduced")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                Theory.from_json(doc)
 
 
 def test_click_rewrite_round_trips():
