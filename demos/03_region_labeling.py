@@ -7,7 +7,7 @@ to the total reproduces the diagram's value without any rewriting."""
 
 from affa.diagram import Morphism
 from affa.evaluate import eval_closed
-from affa.labeling import invariant, label_regions
+from affa.labeling import invariant, label_regions, word
 from affa.testgen import random_closed
 from affa.theory import Family, Theory
 
@@ -21,7 +21,6 @@ for seed in (0, 3, 7):
 
 d = next(random_closed(th, 6, 0, s) for s in range(20)
          if random_closed(th, 6, 0, s).boxes)
-lab = label_regions(d)
 print("\nregion labels of one diagram (group-element words):")
-for face, g in sorted(lab.labels.items()):
-    print(f"  face {face}: {g.word()}")
+for face, g in enumerate(label_regions(d)):
+    print(f"  face {face}: {word(g, *th.labeling_group())}")

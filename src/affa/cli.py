@@ -97,9 +97,11 @@ def _word_from_arg(text: str) -> list[Label]:
 
 def _cmd_eval(args) -> int:
     from affa.evaluate import eval_with_steps
-    if args.batch:
+    if args.batch is not None:
+        if args.infile:
+            raise ValueError("--in cannot be combined with --batch")
         return _eval_batch(args)
-    if not getattr(args, "infile", None):
+    if not args.infile:
         raise ValueError("eval needs --in FILE (or --batch FILE)")
     value, steps = eval_with_steps(_read_morphism(args.infile))
     _emit_json(args, {"value": repr(value), "steps": steps})
@@ -134,7 +136,7 @@ def _eval_batch(args) -> int:
 
 
 def _cmd_label(args) -> int:
-    from affa.labeling import invariant, term_exponent
+    from affa.labeling import invariant, term_exponent, word
     m = _read_morphism(args.infile)
     value = invariant(m)
     expanded = sorted(m.expand_plain().terms, key=repr)
@@ -142,9 +144,10 @@ def _cmd_label(args) -> int:
         raise ValueError("label needs a nonzero morphism")
     d = expanded[0]
     if d.boxes:
-        lab, ell = term_exponent(d)
-        labels = {str(f): g.word() for f, g in sorted(lab.labels.items())}
-        faces = len(lab.faces)
+        regions, ell = term_exponent(d)
+        group = d.theory.labeling_group()
+        labels = {str(f): word(g, *group) for f, g in enumerate(regions)}
+        faces = len(regions)
     else:
         faces = max(len(d.faces()), 1)
         labels = {str(f): "" for f in range(faces)}

@@ -51,10 +51,6 @@ def _poly_exact_div(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def euler_phi(d: int) -> int:
-    return len(cyclotomic_poly(d)) - 1
-
-
 @lru_cache(maxsize=None)
 def _phi_tail(d: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(phi(d), the nonzero (i, c) of Phi_d below its leading term)."""

@@ -65,7 +65,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from affa import wire
@@ -236,9 +236,10 @@ def boundary_arc(side: str, word: Sequence[Label], i: int,
 
 
 def walk_faces(n_faces: int, crossings: Iterable[tuple[int, int, object]],
-               ident, first: Iterable[int] = ()) -> tuple[list, list[int]]:
+               ident, first: Iterable[int] = (),
+               times=mul) -> tuple[list, list[int]]:
     """Label faces 0..n_faces-1 by walking across strands: a crossing
-    (fa, fb, mult) gives fb the label of fa times mult.  The first face
+    (fa, fb, mult) gives fb the label of fa `times` mult.  The first face
     of each component (those in `first` before the rest, in index order)
     gets `ident`.  Returns each face's label and its component's first
     face; a face reached with two labels is an InvariantBreach."""
@@ -255,7 +256,7 @@ def walk_faces(n_faces: int, crossings: Iterable[tuple[int, int, object]],
         while stack:
             f = stack.pop()
             for g, mult in adj[f]:
-                want = labels[f] * mult
+                want = times(labels[f], mult)
                 if root[g] == -1:
                     labels[g], root[g] = want, f0
                     stack.append(g)

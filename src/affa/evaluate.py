@@ -68,7 +68,8 @@ from affa.theory import (
 # Increasing a box's rotation offset by one notch applies the Fourier
 # transform once in this direction.  One of the two readings of "rotate
 # the star counterclockwise"; fixed by the click relations in the test
-# suite and by agreement with the region-labeling invariant.
+# suite.  The region-labeling invariant agrees with it on tr(w* w) draws
+# only: 172 of the 356 phase pairs tr(h* F^c g) disagree (ROADMAP item 1).
 CLICK_DIR = +1
 
 

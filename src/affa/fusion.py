@@ -32,7 +32,6 @@ from itertools import combinations
 from affa.cyclotomic import Cyclo
 from affa.diagram import (
     Diagram,
-    Morphism,
     Strand,
     _flipped,
     bnd,
@@ -44,7 +43,6 @@ from affa.theory import (
     InvariantBreach,
     Label,
     Theory,
-    dual_label,
     leg_count,
     plain_expansion,
     star_parity,
@@ -77,10 +75,6 @@ class Word:
         if not self.labels:
             return "1"
         return "*".join(_display_name(l) for l in self.labels)
-
-    def dual(self) -> "Word":
-        return Word(self.theory,
-                    tuple(dual_label(l) for l in reversed(self.labels)))
 
 
 def grade_steps(th: Theory) -> tuple[dict[Label, int], dict[Label, int]]:
@@ -124,11 +118,6 @@ def _element_labels(th: Theory, e: int) -> tuple[Label, ...]:
     # alternating colors: the shading swaps the letters at odd positions
     first, second = (q1, p1) if e > 0 else (p1, q1)
     return tuple(first if t % 2 == 0 else second for t in range(abs(e)))
-
-
-def simple_decompose(w: Word) -> Word:
-    """The canonical representative of the word's simple class."""
-    return Word(w.theory, _element_labels(w.theory, grading(w)))
 
 
 # -- graphs ------------------------------------------------------------------
@@ -231,13 +220,6 @@ def bratteli(th: Theory, rows: int) -> dict:
         out_edges.append(sorted((i, j, m) for (i, j), m in edges.items()))
         current = nxt
     return {"rows": out_rows, "edges": out_edges, "dims": dims}
-
-
-def trace_of_word(w: Word) -> Cyclo:
-    """The categorical trace of the identity on the word."""
-    from affa.evaluate import inner_product
-    ident = Morphism.identity(w.theory, list(w.labels))
-    return inner_product(ident, ident)
 
 
 # -- Gram matrices -----------------------------------------------------------

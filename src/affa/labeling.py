@@ -4,18 +4,19 @@ The strands of a closed diagram cut the sphere into regions.  Walking
 across a strand multiplies a region's group label on the right: red and
 blue strands by the reflections r and b of a dihedral group, oriented
 strands by the generator u of a cyclic group (crossing left-to-right
-relative to the arrow).  The outermost region of each component gets the
-identity.  Each box then reads an integer off the label of the region
-its star corner sits in, and the diagram's value is the declared root of
-unity raised to the sum of those integers.  The regions are the faces
-of the diagram's `FaceTable`, the one `Diagram.validate` reads, and the
-labels come from `diagram.walk_faces`, which fails if a region would get
-two labels.
+relative to the arrow).  A label is a pair (rot, flip): rho^rot * b^flip
+in D_n = <r, b | r^2 = b^2 = (rb)^n = 1> with rho = rb, or u^rot (flip
+always 0) in Z_m; rot is reduced mod the group's order, and order 0 means
+the infinite group (no reduction).  The outermost region of each
+component gets the identity (0, 0).  Each box then reads an integer off
+the label of the region its star corner sits in, and the diagram's value
+is the declared root of unity raised to the sum of those integers.  The
+regions are the faces of the diagram's `FaceTable`, the one
+`Diagram.validate` reads, and the labels come from `diagram.walk_faces`,
+given the group's product, which fails if a region would get two labels.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from affa.cyclotomic import Cyclo
 from affa.diagram import Diagram, Morphism, walk_faces
@@ -29,104 +30,37 @@ from affa.theory import (
 # Crossing an oriented strand from its left face to its right face (facing
 # along the arrow) multiplies by u**ARROW_CROSS_EXP; the left face is the
 # one containing the strand's source endpoint.  One of the two readings of
-# "from the point of view of the arrow"; fixed by agreement with the
-# rewriting evaluator.
+# "from the point of view of the arrow".  The rewriting evaluator agrees
+# with it on tr(w* w) draws only: 172 of the 356 phase pairs tr(h* F^c g)
+# disagree (ROADMAP item 1).
 ARROW_CROSS_EXP = +1
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Element of the labeling group in normal form.
-
-    Dihedral D_n = <r, b | r^2 = b^2 = (rb)^n = 1>, stored as rho^rot * b^flip
-    with rho = rb; cyclic Z_m stored as u^rot.  order is the order of rho
-    (resp. u); order 0 means the infinite group (no reduction).
-    """
-
-    dihedral: bool
-    order: int
-    rot: int
-    flip: bool = False
-
-    def __post_init__(self):
-        if not self.dihedral and self.flip:
-            raise ValueError("cyclic elements carry no flip")
-        if self.order:
-            object.__setattr__(self, "rot", self.rot % self.order)
-
-    @staticmethod
-    def identity(dihedral: bool, order: int) -> "GroupElement":
-        return GroupElement(dihedral, order, 0)
-
-    def is_identity(self) -> bool:
-        return self.rot == 0 and not self.flip
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if (self.dihedral, self.order) != (other.dihedral, other.order):
-            raise ValueError("group mismatch")
-        if not self.dihedral:
-            return GroupElement(False, self.order, self.rot + other.rot)
-        rot = self.rot + (-other.rot if self.flip else other.rot)
-        return GroupElement(True, self.order, rot, self.flip ^ other.flip)
-
-    def inverse(self) -> "GroupElement":
-        if not self.dihedral:
-            return GroupElement(False, self.order, -self.rot)
-        if self.flip:
-            return self  # reflections are involutions
-        return GroupElement(True, self.order, -self.rot)
-
-    def times_r(self) -> "GroupElement":
-        return self * GroupElement(True, self.order, 1, True)
-
-    def times_b(self) -> "GroupElement":
-        return self * GroupElement(True, self.order, 0, True)
-
-    def times_u(self, exp: int) -> "GroupElement":
-        return self * GroupElement(False, self.order, exp)
-
-    def word(self) -> str:
-        """A reduced word for display: alternating in r, b (dihedral) or a
-        power of u (cyclic)."""
-        if not self.dihedral:
-            if self.rot == 0:
-                return "1"
-            e = self.rot
-            if self.order and e > self.order - e:
-                e -= self.order
-            if e == 1:
-                return "u"
-            return f"u^{e}"
-        j = self.rot
-        if self.order and j > self.order - j:
-            j -= self.order
-        if not self.flip:
-            if j == 0:
-                return "1"
-            return "rb" * j if j > 0 else "br" * (-j)
-        # rho^j b:  (rb)^(j-1) r for j >= 1,  (br)^(-j) b for j <= 0
-        if j >= 1:
-            return "rb" * (j - 1) + "r"
-        return "br" * (-j) + "b"
-
-    def __repr__(self):
-        return f"GroupElement({self.word()!r})"
+def label_product(order: int):
+    """The labeling group's product on (rot, flip) pairs, for a rotation
+    of the given order (0: no reduction).  One rule serves both groups, as
+    a cyclic label never carries a flip."""
+    def mul(g, h):
+        rot = g[0] - h[0] if g[1] else g[0] + h[0]
+        return rot % order if order else rot, g[1] ^ h[1]
+    return mul
 
 
-@dataclass(frozen=True)
-class RegionLabeling:
-    faces: tuple
-    labels: dict
+def word(g: tuple[int, int], dihedral: bool, order: int) -> str:
+    """A reduced word for label g, for display: alternating in r, b
+    (dihedral) or a power of u (cyclic)."""
+    j, flip = g
+    if order and j > order - j:
+        j -= order
+    if not dihedral:
+        return "1" if j == 0 else "u" if j == 1 else f"u^{j}"
+    if not flip:
+        return "1" if j == 0 else "rb" * j if j > 0 else "br" * -j
+    # rho^j b:  (rb)^(j-1) r for j >= 1,  (br)^(-j) b for j <= 0
+    return "rb" * (j - 1) + "r" if j >= 1 else "br" * -j + "b"
 
 
-def regions(d: Diagram) -> tuple[tuple, ...]:
-    """The faces of a valid diagram (`from_json` checks one read from
-    outside); a strand-free diagram is one region."""
-    return d.faces() or ((),)
-
-
-def _crossing(theory: Theory, s, face_of,
-              ident: GroupElement) -> list[tuple[int, int, GroupElement]]:
+def _crossing(theory: Theory, s, face_of) -> list[tuple[int, int, tuple]]:
     """(from_face, to_face, right multiplier) entries for one strand.  No
     multiplier is the identity, so `walk_faces` rejects a strand with one
     face on both sides."""
@@ -138,54 +72,53 @@ def _crossing(theory: Theory, s, face_of,
         if s.a[0] == "anchor" and ORIENTED_LABELS[s.label] < 0:
             src = s.other(src)
         left, right = face_of[src], face_of[s.other(src)]
-        u = GroupElement(False, ident.order, ARROW_CROSS_EXP)
-        return [(left, right, u), (right, left, u.inverse())]
-    if s.label is theory.spec.r_strand:
-        gen = ident.times_r()
-    else:
-        gen = ident.times_b()
+        return [(left, right, (ARROW_CROSS_EXP, 0)),
+                (right, left, (-ARROW_CROSS_EXP, 0))]
+    gen = (1, 1) if s.label is theory.spec.r_strand else (0, 1)
     fa, fb = face_of[s.a], face_of[s.b]
     return [(fa, fb, gen), (fb, fa, gen)]
 
 
-def label_regions(d: Diagram, start_face: int | None = None) -> RegionLabeling:
-    """The unique labeling of regions with the outermost region of each
-    component labeled by the identity (or `start_face`, if given, for its
-    component)."""
+def label_regions(d: Diagram, start_face: int | None = None) -> list:
+    """Each face's label in the unique labeling with the outermost region
+    of each component labeled by the identity (or `start_face`, if given,
+    for its component); a strand-free diagram is one region."""
     if not d.is_closed():
         raise ValueError("label_regions requires a closed diagram")
     if any(s.label is Label.PLAIN for s in d.strands):
         raise ValueError("expand plain strands before labeling")
-    dihedral, order = d.theory.labeling_group()
-    ident = GroupElement.identity(dihedral, order)
-    faces = regions(d)
+    order = d.theory.labeling_group()[1]
     face_of = d.face_index()[1]
     labels, _ = walk_faces(
-        len(faces),
-        [c for s in d.strands for c in _crossing(d.theory, s, face_of, ident)],
-        ident, () if start_face is None else (start_face,))
-    return RegionLabeling(faces, dict(enumerate(labels)))
+        len(d.faces()) or 1,
+        [c for s in d.strands for c in _crossing(d.theory, s, face_of)],
+        (0, 0), () if start_face is None else (start_face,),
+        label_product(order))
+    return labels
 
 
-def _box_ell(g: GroupElement, kind: BoxKind) -> int:
+def _box_ell(g: tuple[int, int], kind: BoxKind, dihedral: bool) -> int:
     """The integer a box contributes, read from its star-region label."""
-    if g.dihedral:
-        base = (1 - g.rot) if g.flip else g.rot
+    rot, flip = g
+    if dihedral:
+        base = (1 - rot) if flip else rot
         if kind in (BoxKind.USTAR, BoxKind.VSTAR):
             base = -base
         return base
-    return -g.rot if kind is BoxKind.U else g.rot
+    return -rot if kind is BoxKind.U else rot
 
 
-def term_exponent(d: Diagram) -> tuple[RegionLabeling, int]:
-    """The region labeling of a closed diagram with boxes and no plain
+def term_exponent(d: Diagram) -> tuple[list, int]:
+    """The region labels of a closed diagram with boxes and no plain
     strands, and the exponent of the root it evaluates to: the sum of
     its box star-region integers, reduced mod the group order."""
-    lab = label_regions(d)
+    labels = label_regions(d)
+    dihedral = d.theory.labeling_group()[0]
     face_of = d.face_index()[1]
-    ell = sum(_box_ell(lab.labels[face_of[d.star_face_endpoint(b)]], kind)
+    ell = sum(_box_ell(labels[face_of[d.star_face_endpoint(b)]], kind,
+                       dihedral)
               for b, (kind, _) in enumerate(d.boxes))
-    return lab, ell % d.theory.root_bound()
+    return labels, ell % d.theory.root_bound()
 
 
 def invariant(m: Morphism) -> Cyclo:

@@ -432,15 +432,6 @@ def box_signature(theory: Theory, kind: BoxKind) -> Signature:
     return _box(theory, kind)[0]
 
 
-def cyc_signature(theory: Theory, kind: BoxKind) -> tuple[Label, ...]:
-    """Leg labels in counterclockwise cyclic order starting bottom-left.
-
-    Cyclic index c corresponds to bottom leg c for c < #bottom, then the
-    top legs right-to-left.
-    """
-    return _box(theory, kind)[1]
-
-
 def leg_count(theory: Theory, kind: BoxKind) -> int:
     return len(_box(theory, kind)[1])
 

@@ -7,7 +7,7 @@ from math import gcd
 
 from affa.cyclotomic import Cyclo
 from affa.diagram import Morphism
-from affa.theory import Family, Label, Theory
+from affa.theory import Family, Label, Theory, dual_label
 
 
 FINITE_FAMILIES = (Family.SHADED_AODD, Family.COLOR_AODD,
@@ -93,7 +93,8 @@ def _gram_survey():
                     for l2 in range(0, 9 - l1):
                         for w2 in itertools.product((a, b), repeat=l2):
                             word1, word2 = Word(th, w1), Word(th, w2)
-                            combined = w1 + word2.dual().labels
+                            combined = w1 + tuple(
+                                dual_label(l) for l in reversed(w2))
                             if combined not in cache:
                                 cache[combined] = gram_matrix(
                                     Word(th, combined), len(combined) // 2)

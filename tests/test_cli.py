@@ -446,13 +446,19 @@ def test_radius_is_refused_for_a_finite_family(tmp_path, capsys):
      "--theory cannot be combined with --n"),
     (["gram", "--theory", "theory.json", "--root-exp", "1"],
      "--theory cannot be combined with --root-exp"),
+    (["eval", "--in", "theory.json", "--batch", "theory.json"],
+     "--in cannot be combined with --batch"),
+    (["eval", "--in", "theory.json", "--batch", ""],
+     "--in cannot be combined with --batch"),
 ], ids=["relcheck-n", "relcheck-root-exp", "homdim-n", "graph-n",
-        "classify-n", "theory-family", "theory-n", "theory-root-exp"])
+        "classify-n", "theory-family", "theory-n", "theory-root-exp",
+        "eval-in-batch", "eval-in-empty-batch"])
 def test_a_flag_that_would_be_ignored_is_refused(argv, message, tmp_path,
                                                  monkeypatch, capsys):
-    # an infinite family has no size or root to choose, and a theory file
-    # names the whole theory: an input error (exit 1) naming the flag, and
-    # no output, not a flag that is silently ignored
+    # an infinite family has no size or root to choose, a theory file
+    # names the whole theory and a batch file replaces --in: an input error
+    # (exit 1) naming the flag, and no output, not a flag that is silently
+    # ignored
     monkeypatch.chdir(tmp_path)
     (tmp_path / "theory.json").write_text(
         json.dumps(Theory(Family.SHADED_AODD, 1).to_json()))

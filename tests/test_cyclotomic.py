@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from affa.cyclotomic import (
     Cyclo,
     cyclotomic_poly,
-    euler_phi,
     root_power,
 )
 
@@ -116,7 +115,7 @@ def test_conj_ring_homomorphism(d, data):
 def test_canonical_reduction_degree():
     for d in (1, 2, 3, 4, 6, 8, 12):
         x = Cyclo([1] * (3 * d), d)
-        deg = euler_phi(d)
+        deg = len(cyclotomic_poly(d)) - 1
         assert all(c == 0 for c in x.coeffs[deg:])
         assert len(x.coeffs) == d or d == 1
 
@@ -174,7 +173,7 @@ def _ref_galois(r, d, k):
 
 
 def _assert_normal(x):
-    assert len(x.num) == euler_phi(x.order)
+    assert len(x.num) == len(cyclotomic_poly(x.order)) - 1
     assert all(type(c) is int for c in (x.den, *x.num))
     assert x.den >= 1 and math.gcd(x.den, *x.num) == 1
 

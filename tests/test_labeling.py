@@ -2,13 +2,7 @@ import pytest
 
 from affa.cyclotomic import Cyclo
 from affa.diagram import Diagram, Morphism
-from affa.labeling import (
-    GroupElement,
-    RegionLabeling,
-    invariant,
-    label_regions,
-    regions,
-)
+from affa.labeling import invariant, label_product, label_regions, word
 from affa.theory import BoxKind, Family, Label, Theory
 
 
@@ -25,52 +19,60 @@ def the_diagram(m: Morphism) -> Diagram:
 
 
 def test_group_element_relations():
+    # labels are (rot, flip) pairs: rho^rot b^flip with rho = rb, or u^rot
     n = 4
-    e = GroupElement.identity(True, n)
-    r = e.times_r()
-    b = e.times_b()
-    assert r * r == e
-    assert b * b == e
-    rho = r * b
+    mul = label_product(n)
+    e, r, b = (0, 0), (1, 1), (0, 1)
+    assert mul(r, r) == e
+    assert mul(b, b) == e
+    rho = mul(r, b)
     acc = e
     for _ in range(n):
-        acc = acc * rho
+        acc = mul(acc, rho)
     assert acc == e
-    assert (r * b * r).inverse() * (r * b * r) == e
-    assert r.word() == "r"
-    assert b.word() == "b"
-    assert rho.word() in ("rb", "br" * (n - 1))
-    u = GroupElement(False, 6, 1)
-    assert (u * u * u).times_u(3) == GroupElement.identity(False, 6)
-    assert GroupElement(False, 6, 5).word() == "u^-1"
+    rbr = mul(rho, r)
+    assert mul(rbr, rbr) == e
+    assert word(r, True, n) == "r"
+    assert word(b, True, n) == "b"
+    assert word(rho, True, n) in ("rb", "br" * (n - 1))
+    mul = label_product(6)
+    u = (1, 0)
+    u3 = mul(mul(u, u), u)
+    assert mul(u3, u3) == e
+    assert word((5, 0), False, 6) == "u^-1"
 
 
 def test_regions_counts():
     ident = the_diagram(Morphism.identity(SH2, [Label.RED]))
-    assert len(regions(ident)) == 2
+    assert len(ident.faces()) == 2
     loop = the_diagram(Morphism.loop(SH2, Label.BLUE))
-    assert len(regions(loop)) == 2
+    assert len(loop.faces()) == 2
+    # a strand-free diagram is one region
     empty = the_diagram(Morphism.identity(SH2, []))
-    assert len(regions(empty)) == 1
+    assert label_regions(empty) == [(0, 0)]
 
 
 def test_red_loop_labeling():
-    lab = label_regions(the_diagram(Morphism.loop(SH2, Label.RED)))
-    got = sorted(lab.labels.values(), key=lambda g: g.word())
-    assert lab.labels[0].is_identity()
-    assert {g.word() for g in got} == {"1", "r"}
+    labels = label_regions(the_diagram(Morphism.loop(SH2, Label.RED)))
+    assert labels[0] == (0, 0)
+    assert sorted(labels) == [(0, 0), (1, 1)]
+    assert {word(g, *SH2.labeling_group()) for g in labels} == {"1", "r"}
     # the color family records red strands with the other reflection
-    lab = label_regions(the_diagram(Morphism.loop(CO2, Label.RED)))
-    assert {g.word() for g in lab.labels.values()} == {"1", "b"}
+    labels = label_regions(the_diagram(Morphism.loop(CO2, Label.RED)))
+    assert sorted(labels) == [(0, 0), (0, 1)]
+    assert {word(g, *CO2.labeling_group()) for g in labels} == {"1", "b"}
 
 
 def test_oriented_loop_labeling():
     up = label_regions(the_diagram(Morphism.loop(AR2, Label.UP)))
     down = label_regions(the_diagram(Morphism.loop(AR2, Label.DOWN)))
-    (inner_up,) = [g for g in up.labels.values() if not g.is_identity()]
-    (inner_down,) = [g for g in down.labels.values() if not g.is_identity()]
-    assert inner_up == inner_down.inverse()
-    assert {inner_up.word(), inner_down.word()} == {"u", "u^-1"}
+    (inner_up,) = [g for g in up if g != (0, 0)]
+    (inner_down,) = [g for g in down if g != (0, 0)]
+    dihedral, order = AR2.labeling_group()
+    assert not dihedral
+    assert label_product(order)(inner_up, inner_down) == (0, 0)
+    assert {word(inner_up, False, order),
+            word(inner_down, False, order)} == {"u", "u^-1"}
 
 
 def test_labeling_rejects_bad_input():
@@ -147,15 +149,14 @@ def test_relabeling_from_any_face_translates_back():
                the_diagram(Morphism.loop(SH2, Label.RED).tensor(
                    Morphism.loop(SH2, Label.BLUE)))]
     for d in samples:
+        mul = label_product(d.theory.labeling_group()[1])
         base = label_regions(d)
-        for f0 in range(len(base.faces)):
+        for f0 in range(len(base)):
             moved = label_regions(d, start_face=f0)
-            shift = base.labels[f0]
             for f in _face_component(d, f0):
-                assert shift * moved.labels[f] == base.labels[f]
+                assert mul(base[f0], moved[f]) == base[f]
 
 
 def test_star_face_is_identity():
     d = the_diagram(_closed_pair(SH2, BoxKind.U))
-    lab = label_regions(d)
-    assert lab.labels[0].is_identity()
+    assert label_regions(d)[0] == (0, 0)

@@ -18,7 +18,6 @@ from affa.theory import (
     box_kinds,
     box_signature,
     click_rewrite,
-    cyc_signature,
     dual_label,
     kind_adjoint,
     leg_count,
@@ -77,7 +76,7 @@ def test_source_signatures():
 def test_cyc_signature_is_ccw():
     th = shaded(2)
     # bottom left-to-right, then top right-to-left
-    assert cyc_signature(th, BoxKind.U) == (
+    assert tuple(lab for lab, _ in th.leg_table[BoxKind.U]) == (
         Label.BLUE, Label.RED, Label.BLUE, Label.RED)
     assert leg_count(arrow_even(1), BoxKind.U) == 3
 
